@@ -74,7 +74,8 @@ int main() {
         infer::InferenceConfig config;
         config.design = variant.design;
         variant.tweak(&config);
-        const infer::InferenceEngine engine(&manifest, config);
+        const infer::InferenceEngine engine(
+            infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
         const auto inference = engine.Analyze(result.capture);
         runs.push_back(testbed::ScoreInference(inference, result.downloads));
       }

@@ -91,7 +91,7 @@ void BM_SqBatchNoCache(benchmark::State& state) {
   const Workload& w = SqWorkload();
   infer::BatchConfig batch;
   batch.threads = 2;
-  batch.candidate_cache_mb = 0;
+  batch.caches.candidate.budget_mb = 0;
   infer::BatchAnalyzer analyzer(SqSnapshot(), SqConfig(), batch);
   for (auto _ : state) {
     benchmark::DoNotOptimize(analyzer.AnalyzeAll(w.traces));
@@ -105,7 +105,7 @@ void BM_SqBatchColdCache(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     infer::InferenceConfig config = SqConfig();
-    config.candidate_cache = std::make_shared<infer::GroupCandidateCache>(64ull << 20);
+    config.caches.candidate = std::make_shared<infer::GroupCandidateCache>(64ull << 20);
     infer::BatchConfig batch;
     batch.threads = 2;
     infer::BatchAnalyzer analyzer(SqSnapshot(), std::move(config), batch);
@@ -120,7 +120,7 @@ void BM_SqBatchWarmSharedCache(benchmark::State& state) {
   const Workload& w = SqWorkload();
   infer::BatchConfig batch;
   batch.threads = 2;
-  batch.candidate_cache_mb = 64;
+  batch.caches.candidate.budget_mb = 64;
   infer::BatchAnalyzer analyzer(SqSnapshot(), SqConfig(), batch);
   analyzer.AnalyzeAll(w.traces);  // warm pass, untimed
   for (auto _ : state) {
@@ -251,8 +251,7 @@ infer::TrafficGroup PlantedGroup(const media::Manifest& m, int start, int run) {
 // Full enumeration cost for one two-chunk group over the whole start range.
 void BM_GroupEnumCold(benchmark::State& state) {
   const media::Manifest m = DenseManifest(512);
-  const infer::ChunkDatabase db(&m);
-  const infer::DbSnapshot snap(db);
+  const infer::DbSnapshot snap(std::make_shared<const infer::ChunkDatabase>(&m));
   const infer::TrafficGroup group = PlantedGroup(m, 37, 2);
   infer::GroupSearchConfig config;
   config.k = 0.05;
@@ -266,8 +265,7 @@ void BM_GroupEnumCold(benchmark::State& state) {
 // The same call against a warm shared cache: time/op = ns per cached group.
 void BM_GroupEnumHit(benchmark::State& state) {
   const media::Manifest m = DenseManifest(512);
-  const infer::ChunkDatabase db(&m);
-  const infer::DbSnapshot snap(db);
+  const infer::DbSnapshot snap(std::make_shared<const infer::ChunkDatabase>(&m));
   const infer::TrafficGroup group = PlantedGroup(m, 37, 2);
   infer::GroupCandidateCache cache(64ull << 20);
   infer::GroupSearchConfig config;

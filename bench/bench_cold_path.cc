@@ -187,8 +187,8 @@ void RunColdBatch(benchmark::State& state, const Workload& w,
   config.use_columnar = use_columnar;
   infer::BatchConfig batch;
   batch.threads = 2;
-  batch.candidate_cache_mb = 0;
-  batch.prefix_cache_mb = 0;
+  batch.caches.candidate.budget_mb = 0;
+  batch.caches.prefix.budget_mb = 0;
   batch.caches.result.budget_mb = 0;
   infer::BatchAnalyzer analyzer(&w.manifest, config, batch);
   for (auto _ : state) {

@@ -47,7 +47,8 @@ void RunCase(const char* title, const media::Manifest& manifest,
 
   infer::InferenceConfig config;
   config.design = infer::DesignType::kSH;
-  const infer::InferenceEngine engine(&manifest, config);
+  const infer::InferenceEngine engine(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
   const auto inference = engine.Analyze(result.capture);
   std::printf("%s\n", title);
   if (inference.sequences.empty()) {

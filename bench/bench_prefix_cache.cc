@@ -98,8 +98,8 @@ void BM_SqBatchNoPrefixCache(benchmark::State& state) {
   const Workload& w = SqWorkload();
   infer::BatchConfig batch;
   batch.threads = 2;
-  batch.candidate_cache_mb = 0;
-  batch.prefix_cache_mb = 0;
+  batch.caches.candidate.budget_mb = 0;
+  batch.caches.prefix.budget_mb = 0;
   infer::BatchAnalyzer analyzer(SqSnapshot(), SqConfig(), batch);
   for (auto _ : state) {
     benchmark::DoNotOptimize(analyzer.AnalyzeAll(w.traces));
@@ -113,10 +113,10 @@ void BM_SqBatchColdPrefixCache(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     infer::InferenceConfig config = SqConfig();
-    config.prefix_cache = std::make_shared<infer::AnalysisPrefixCache>(32ull << 20);
+    config.caches.prefix = std::make_shared<infer::AnalysisPrefixCache>(32ull << 20);
     infer::BatchConfig batch;
     batch.threads = 2;
-    batch.candidate_cache_mb = 0;
+    batch.caches.candidate.budget_mb = 0;
     infer::BatchAnalyzer analyzer(SqSnapshot(), std::move(config), batch);
     state.ResumeTiming();
     benchmark::DoNotOptimize(analyzer.AnalyzeAll(w.traces));
@@ -130,8 +130,8 @@ void BM_SqBatchWarmPrefixCache(benchmark::State& state) {
   const Workload& w = SqWorkload();
   infer::BatchConfig batch;
   batch.threads = 2;
-  batch.candidate_cache_mb = 0;
-  batch.prefix_cache_mb = 32;
+  batch.caches.candidate.budget_mb = 0;
+  batch.caches.prefix.budget_mb = 32;
   infer::BatchAnalyzer analyzer(SqSnapshot(), SqConfig(), batch);
   analyzer.AnalyzeAll(w.traces);  // warm pass, untimed
   for (auto _ : state) {
@@ -181,7 +181,7 @@ const ReplayPlan& SqReplayPlan() {
   return *plan;
 }
 
-void RunLiveReplay(benchmark::State& state, int prefix_cache_mb) {
+void RunLiveReplay(benchmark::State& state, int prefix_budget_mb) {
   const Workload& w = SqWorkload();
   const ReplayPlan& plan = SqReplayPlan();
   int64_t analyzed = 0;
@@ -191,8 +191,8 @@ void RunLiveReplay(benchmark::State& state, int prefix_cache_mb) {
     infer::LiveChunkDatabase live(plan.start, {});
     infer::BatchConfig batch;
     batch.threads = 2;
-    batch.candidate_cache_mb = 0;
-    batch.prefix_cache_mb = prefix_cache_mb;
+    batch.caches.candidate.budget_mb = 0;
+    batch.caches.prefix.budget_mb = prefix_budget_mb;
     analyzer = std::make_unique<infer::BatchAnalyzer>(live.Acquire(), SqConfig(), batch);
     state.ResumeTiming();
     benchmark::DoNotOptimize(analyzer->AnalyzeAll(w.traces));

@@ -84,8 +84,8 @@ infer::InferenceConfig SqConfig() {
 infer::BatchConfig LowerTiersOff() {
   infer::BatchConfig batch;
   batch.threads = 2;
-  batch.caches.prefix.enabled = false;
-  batch.caches.candidate.enabled = false;
+  batch.caches.prefix.budget_mb = 0;
+  batch.caches.candidate.budget_mb = 0;
   return batch;
 }
 
@@ -120,7 +120,7 @@ infer::ManifestRefresh HugeChunkRefresh(const media::Manifest& manifest, int chu
 void BM_SqBatchNoResultCache(benchmark::State& state) {
   const Workload& w = SqWorkload();
   infer::BatchConfig batch = LowerTiersOff();
-  batch.caches.result.enabled = false;
+  batch.caches.result.budget_mb = 0;
   infer::BatchAnalyzer analyzer(SqSnapshot(), SqConfig(), batch);
   for (auto _ : state) {
     benchmark::DoNotOptimize(analyzer.AnalyzeAll(w.traces));

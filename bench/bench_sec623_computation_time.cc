@@ -45,7 +45,8 @@ void BM_Inference(benchmark::State& state, infer::DesignType design) {
   const PreparedSession& prepared = Prepare(design);
   infer::InferenceConfig config;
   config.design = design;
-  const infer::InferenceEngine engine(&prepared.manifest, config);
+  const infer::InferenceEngine engine(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&prepared.manifest)), config);
   for (auto _ : state) {
     auto result = engine.Analyze(prepared.session.capture);
     benchmark::DoNotOptimize(result);

@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
 
   infer::InferenceConfig config;
   config.design = infer::DesignType::kSH;
-  const infer::InferenceEngine engine(&loaded, config);
+  const infer::InferenceEngine engine(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&loaded)), config);
   const auto inference = engine.Analyze(trace);
   std::printf("inference: %d candidate sequence(s)%s\n", static_cast<int>(inference.sequences.size()),
               inference.truncated ? " (truncated)" : "");

@@ -58,7 +58,7 @@ int main() {
 
   // Step 2.1 — per-group candidate search (shown for one mid-session group,
   // conditioned on the chained start index as the engine does internally).
-  const infer::ChunkDatabase db(&manifest);
+  const infer::DbSnapshot db(std::make_shared<const infer::ChunkDatabase>(&manifest));
   infer::GroupSearchConfig gconfig;
   gconfig.other_object_sizes = {manifest.SerializedSize() + 180};
   if (groups.size() > 4) {
@@ -84,7 +84,7 @@ int main() {
   // Step 2.2 — full chained inference and scoring.
   infer::InferenceConfig config;
   config.design = infer::DesignType::kSQ;
-  const infer::InferenceEngine engine(&manifest, config);
+  const infer::InferenceEngine engine(db, config);
   const auto inference = engine.Analyze(result.capture);
   const auto accuracy = testbed::ScoreInference(inference, result.downloads);
   std::printf("\nstep 2.2: %d candidate sequence(s); best accuracy %.1f%%, worst %.1f%%\n",

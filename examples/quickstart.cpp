@@ -46,7 +46,8 @@ int main() {
   // --- 3. Infer the chunk sequence from the encrypted capture. ---
   infer::InferenceConfig config;
   config.design = infer::DesignType::kSH;
-  const infer::InferenceEngine engine(&manifest, config);
+  const infer::InferenceEngine engine(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
   const infer::InferenceResult inference = engine.Analyze(result.capture);
   const testbed::AccuracyResult accuracy =
       testbed::ScoreInference(inference, result.downloads);

@@ -27,7 +27,8 @@ int main() {
   const media::Manifest manifest =
       media::EncodeAsset("hulu-show", "cdn.hulu.example", 12 * 60 * kUsPerSec, encoder, rng);
 
-  const infer::InferenceEngine engine(&manifest, [] {
+  const infer::InferenceEngine engine(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), [] {
     infer::InferenceConfig config;
     config.design = infer::DesignType::kSH;
     return config;

@@ -1,33 +1,18 @@
 #include "src/common/build_info.h"
 
-#include <cstdlib>
-#include <string>
-
+#include "src/common/cache_env.h"
 #include "src/common/simd.h"
 
 namespace csi {
 
-namespace {
-
-// Mirrors infer::GroupCandidateCache::EnvForcesOff(); duplicated here so
-// csi_common does not depend on csi_core.
-bool CandidateCacheEnvOff() {
-  const char* env = std::getenv("CSI_CANDIDATE_CACHE");
-  if (env == nullptr) {
-    return false;
-  }
-  const std::string value(env);
-  return value == "off" || value == "OFF" || value == "0" || value == "none";
-}
-
-}  // namespace
-
 telemetry::Labels BuildInfoLabels() {
   return {
-      {"candidate_cache_default", CandidateCacheEnvOff() ? "off" : "on"},
+      {"candidate_cache_default", CsiCacheEnvDisables("candidate") ? "off" : "on"},
       // Mirrors capture::kPacketLayoutVersion (packet_columns.h); duplicated
       // here so csi_common does not depend on csi_capture.
       {"packet_layout", "soa-v1"},
+      {"prefix_cache_default", CsiCacheEnvDisables("prefix") ? "off" : "on"},
+      {"result_cache_default", CsiCacheEnvDisables("result") ? "off" : "on"},
       {"simd",
 #if defined(CSI_SIMD_DISABLED)
        "off"

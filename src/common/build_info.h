@@ -1,6 +1,6 @@
 // Build/runtime provenance for metrics artifacts: which SIMD backend the
 // process dispatched to, which instrumentation layers were compiled in, and
-// whether the environment forces the candidate cache off. Exported as the
+// which cache tiers the environment forces off. Exported as the
 // conventional `csi_build_info` gauge (constant value 1, facts in labels) so
 // every METRICS_*.json / .prom snapshot records how it was produced.
 
@@ -15,9 +15,9 @@ namespace csi {
 //   simd_backend          runtime-dispatched kernel ("scalar"/"sse2"/...)
 //   telemetry / simd / tracing
 //                         "on" unless compiled out with -DCSI_*=OFF
-//   candidate_cache_default
-//                         "off" iff CSI_CANDIDATE_CACHE in the environment
-//                         forces the cache off, else "on"
+//   candidate_cache_default / prefix_cache_default / result_cache_default
+//                         "off" iff CSI_CACHE in the environment forces that
+//                         tier off (see cache_env.h), else "on"
 telemetry::Labels BuildInfoLabels();
 
 // Registers/updates `csi_build_info{...} 1` in the global registry. Called by

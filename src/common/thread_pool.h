@@ -1,4 +1,4 @@
-// Fixed-size thread pool for batch inference and intra-search parallelism.
+// Fixed-size thread pool for batch inference and the sharded database build.
 //
 // Design constraints, in order of importance:
 //   1. No deadlocks under nesting: `ParallelFor` is driven by the *calling*

@@ -23,89 +23,49 @@ int ResolveThreads(int requested) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-// A tier's budget: the deprecated per-tier alias wins when set (>= 0, with 0
-// still meaning "disabled"); otherwise the unified CacheOptions decides.
-int ResolveBudgetMb(int legacy_mb, const CacheOptions& options) {
-  return legacy_mb >= 0 ? legacy_mb : options.effective_budget_mb();
-}
-
-// Creates the batch-wide shared candidate cache unless the caller brought
-// their own (either config spelling), disabled the tier, or the env forces it
-// off.
-void ResolveCandidateCache(InferenceConfig* config, const BatchConfig& batch) {
-  const int budget_mb = ResolveBudgetMb(batch.candidate_cache_mb, batch.caches.candidate);
-  if (config->candidate_cache != nullptr || config->caches.candidate != nullptr ||
-      budget_mb <= 0 || GroupCandidateCache::EnvForcesOff()) {
-    return;
-  }
-  config->candidate_cache =
-      std::make_shared<GroupCandidateCache>(static_cast<size_t>(budget_mb) * 1024 * 1024);
-}
-
-// Same resolution for the analysis-prefix cache.
-void ResolvePrefixCache(InferenceConfig* config, const BatchConfig& batch) {
-  const int budget_mb = ResolveBudgetMb(batch.prefix_cache_mb, batch.caches.prefix);
-  if (config->prefix_cache != nullptr || config->caches.prefix != nullptr ||
-      budget_mb <= 0 || AnalysisPrefixCache::EnvForcesOff()) {
-    return;
-  }
-  config->prefix_cache =
-      std::make_shared<AnalysisPrefixCache>(static_cast<size_t>(budget_mb) * 1024 * 1024);
-}
-
-// Same resolution for the whole-result cache (no legacy alias).
-void ResolveResultCache(InferenceConfig* config, const BatchConfig& batch) {
-  const int budget_mb = batch.caches.result.effective_budget_mb();
-  if (config->caches.result != nullptr || budget_mb <= 0 || ResultCache::EnvForcesOff()) {
-    return;
-  }
-  config->caches.result =
-      std::make_shared<ResultCache>(static_cast<size_t>(budget_mb) * 1024 * 1024);
-}
-
 }  // namespace
 
-InferenceEngine BatchAnalyzer::MakeEngine(const media::Manifest* manifest,
-                                          InferenceConfig config, const BatchConfig& batch,
-                                          ThreadPool* pool) {
-  if (batch.parallel_group_search) {
-    config.search_pool = pool;
+void AttachCaches(const BatchConfig::Caches& budgets, InferenceConfig::Caches* caches) {
+  constexpr size_t kMiB = 1024 * 1024;
+  if (caches->prefix == nullptr && budgets.prefix.budget_mb > 0 &&
+      !AnalysisPrefixCache::EnvForcesOff()) {
+    caches->prefix = std::make_shared<AnalysisPrefixCache>(
+        static_cast<size_t>(budgets.prefix.budget_mb) * kMiB);
   }
-  // The shared database builds once, before any trace runs, so the batch
-  // pool is idle and free to take the shard jobs.
-  if (config.db_build_pool == nullptr) {
-    config.db_build_pool = pool;
+  if (caches->candidate == nullptr && budgets.candidate.budget_mb > 0 &&
+      !GroupCandidateCache::EnvForcesOff()) {
+    caches->candidate = std::make_shared<GroupCandidateCache>(
+        static_cast<size_t>(budgets.candidate.budget_mb) * kMiB);
   }
-  if (config.db_build_shards == 0) {
-    config.db_build_shards = batch.db_build_shards;
+  if (caches->result == nullptr && budgets.result.budget_mb > 0 &&
+      !ResultCache::EnvForcesOff()) {
+    caches->result = std::make_shared<ResultCache>(
+        static_cast<size_t>(budgets.result.budget_mb) * kMiB);
   }
-  ResolveCandidateCache(&config, batch);
-  ResolvePrefixCache(&config, batch);
-  ResolveResultCache(&config, batch);
-  return InferenceEngine(manifest, std::move(config));
 }
 
 InferenceEngine BatchAnalyzer::MakeEngine(DbSnapshot snapshot, InferenceConfig config,
-                                          const BatchConfig& batch, ThreadPool* pool) {
-  if (batch.parallel_group_search) {
-    config.search_pool = pool;
-  }
-  ResolveCandidateCache(&config, batch);
-  ResolvePrefixCache(&config, batch);
-  ResolveResultCache(&config, batch);
+                                          const BatchConfig& batch) {
+  AttachCaches(batch.caches, &config.caches);
   return InferenceEngine(std::move(snapshot), std::move(config));
 }
 
+// The calling thread runs analyses too (ThreadPool::ParallelFor), so the pool
+// gets one worker fewer than the requested concurrency.
 BatchAnalyzer::BatchAnalyzer(const media::Manifest* manifest, InferenceConfig config,
                              BatchConfig batch)
     : batch_(std::move(batch)),
-      pool_(ResolveThreads(batch_.threads)),
-      engine_(MakeEngine(manifest, std::move(config), batch_, &pool_)) {}
+      pool_(ResolveThreads(batch_.threads) - 1),
+      // The shared database builds once, before any trace runs, so the batch
+      // pool is idle and free to take the shard jobs.
+      engine_(MakeEngine(DbSnapshot(std::make_shared<const ChunkDatabase>(
+                             manifest, DbBuildOptions{&pool_, batch_.db_build_shards})),
+                         std::move(config), batch_)) {}
 
 BatchAnalyzer::BatchAnalyzer(DbSnapshot snapshot, InferenceConfig config, BatchConfig batch)
     : batch_(std::move(batch)),
-      pool_(ResolveThreads(batch_.threads)),
-      engine_(MakeEngine(std::move(snapshot), std::move(config), batch_, &pool_)) {}
+      pool_(ResolveThreads(batch_.threads) - 1),
+      engine_(MakeEngine(std::move(snapshot), std::move(config), batch_)) {}
 
 std::vector<InferenceResult> BatchAnalyzer::RunBatch(
     size_t total,

@@ -5,7 +5,7 @@
 // time: a gateway tap produces a stream of per-device traces that all need
 // Step 1 + Step 2 analysis. BatchAnalyzer owns one InferenceEngine — and
 // therefore one immutable ChunkDatabase shared by every worker — and fans
-// Analyze calls for N traces out across a fixed thread pool.
+// Analyze calls for N traces out over the calling thread plus a fixed pool.
 //
 // Determinism: results land in the output vector by input index, and the
 // per-trace analysis itself is scheduling-independent, so AnalyzeAll returns
@@ -25,20 +25,16 @@
 namespace csi::infer {
 
 struct BatchConfig {
-  // Worker threads for the trace fan-out; 0 means hardware concurrency.
+  // Analyses in flight at once: the calling thread plus threads - 1 pool
+  // workers. 0 means hardware concurrency.
   int threads = 0;
-  // Also hand the pool to each trace's SQ candidate enumeration
-  // (GroupSearchConfig::pool). Off by default: with a full batch the
-  // per-trace fan-out already saturates the pool, and intra-trace
-  // parallelism only helps when analyzing fewer traces than workers.
-  bool parallel_group_search = false;
-  // Shard count for the shared ChunkDatabase build, fanned over the batch
-  // pool; 0 = one shard per worker plus the caller, 1 = serial build. The
+  // Shard count for the ChunkDatabase the manifest constructor builds, fanned
+  // over the batch pool; 0 = one shard per thread, 1 = serial build. The
   // index is byte-identical for every value (db_differential_test).
   int db_build_shards = 0;
-  // Unified per-tier knobs for the shared caches this analyzer creates when
-  // the matching InferenceConfig cache pointer is null (an explicit pointer
-  // always wins). One CacheOptions (cache_common.h) per tier:
+  // Budgets for the shared caches this analyzer creates when the matching
+  // InferenceConfig::caches pointer is null (an explicit pointer always
+  // wins). One CacheOptions (cache_common.h) per tier:
   //  * prefix    — analysis-prefix cache (prefix_cache.h): repeats of the
   //    same trace bytes skip the per-packet stages. Snapshot-independent.
   //  * candidate — group-candidate cache (candidate_cache.h): repeated group
@@ -46,8 +42,8 @@ struct BatchConfig {
   //  * result    — whole-result cache (result_cache.h): a repeat of the same
   //    trace under the same (or a provably-equivalent) snapshot state skips
   //    the entire pipeline.
-  // `enabled = false` or `budget_mb = 0` disables a tier. Results are
-  // byte-identical with any subset enabled (prefix_cache_test,
+  // `budget_mb = 0` disables a tier, as does CSI_CACHE=<tier>:off. Results
+  // are byte-identical with any subset enabled (prefix_cache_test,
   // candidate_cache_test, result_cache_test).
   struct Caches {
     CacheOptions prefix{/*budget_mb=*/32};
@@ -55,11 +51,6 @@ struct BatchConfig {
     CacheOptions result{/*budget_mb=*/64};
   };
   Caches caches;
-  // Deprecated aliases of caches.candidate.budget_mb / caches.prefix.budget_mb,
-  // kept for source compatibility: a non-negative value wins over the unified
-  // block (0 still disables); the -1 default defers to `caches`.
-  int candidate_cache_mb = -1;
-  int prefix_cache_mb = -1;
   // Test seam / fault injection: when set, called instead of
   // InferenceEngine::Analyze for every trace. Trace-mode batches only — the
   // columnar AnalyzeAll overloads have no AoS trace to hand it and always go
@@ -73,14 +64,19 @@ struct BatchConfig {
   size_t progress_every = 16;
 };
 
+// Fills every tier of `caches` that is still null with a fresh cache of the
+// budget `budgets` names, unless that budget is 0 or CSI_CACHE forces the
+// tier off. Caches already attached are left alone.
+void AttachCaches(const BatchConfig::Caches& budgets, InferenceConfig::Caches* caches);
+
 class BatchAnalyzer {
  public:
-  // `manifest` must outlive the analyzer (same contract as InferenceEngine).
-  // Builds the shared database on the batch pool.
+  // Builds the shared database from `manifest` on the batch pool, sharded
+  // by batch.db_build_shards. `manifest` must outlive the analyzer.
   BatchAnalyzer(const media::Manifest* manifest, InferenceConfig config,
                 BatchConfig batch = {});
 
-  // Primary constructor: analyzes against an already-built snapshot (e.g.
+  // Analyzes against an already-built snapshot (e.g.
   // LiveChunkDatabase::Acquire()). The snapshot pins its database version for
   // every trace of a batch; swap versions between batches with
   // UpdateSnapshot.
@@ -137,29 +133,28 @@ class BatchAnalyzer {
       std::vector<InferenceAudit>* audits = nullptr);
 
   const InferenceEngine& engine() const { return engine_; }
-  int threads() const { return pool_.num_workers(); }
+  // Analyses in flight at once: the pool workers plus the calling thread.
+  int threads() const { return pool_.num_workers() + 1; }
   // The shared group-candidate cache (caller-provided or analyzer-created);
   // null when disabled. Stats reads are safe while a batch runs.
   const GroupCandidateCache* candidate_cache() const {
-    return engine_.config().candidate_cache.get();
+    return engine_.config().caches.candidate.get();
   }
   // The shared analysis-prefix cache (caller-provided or analyzer-created);
   // null when disabled. Stats reads are safe while a batch runs.
   const AnalysisPrefixCache* prefix_cache() const {
-    return engine_.config().prefix_cache.get();
+    return engine_.config().caches.prefix.get();
   }
   // The shared whole-result cache (caller-provided or analyzer-created); null
   // when disabled. Stats reads are safe while a batch runs.
   const ResultCache* result_cache() const { return engine_.config().caches.result.get(); }
 
  private:
-  // Both constructors funnel through these: they patch `config` with the
-  // batch pool and return the engine by value (guaranteed elision), which
+  // Both constructors funnel through this: it attaches the batch-wide caches
+  // to `config` and returns the engine by value (guaranteed elision), which
   // keeps the member-init list free of evaluation-order traps.
-  static InferenceEngine MakeEngine(const media::Manifest* manifest, InferenceConfig config,
-                                    const BatchConfig& batch, ThreadPool* pool);
   static InferenceEngine MakeEngine(DbSnapshot snapshot, InferenceConfig config,
-                                    const BatchConfig& batch, ThreadPool* pool);
+                                    const BatchConfig& batch);
 
   // Shared fan-out core of every AnalyzeAll flavor: by-index slots, per-trace
   // timing/fault isolation/telemetry, progress throttling. `analyze_one` runs

@@ -1,7 +1,6 @@
 #include "src/csi/candidate_cache.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iterator>
 #include <string>
 #include <utility>
@@ -19,7 +18,7 @@ uint64_t Mix(uint64_t h, uint64_t v) {
   return h;
 }
 
-// In-process override simulating CSI_CANDIDATE_CACHE=off (the real env read
+// In-process override simulating CSI_CACHE=candidate:off (the real env read
 // is latched in a function-local static and cannot be flipped after first
 // use).
 std::atomic<bool> g_force_env_off{false};
@@ -39,15 +38,8 @@ size_t GroupCandidateCache::QueryHash::operator()(const Query& q) const {
 GroupCandidateCache::GroupCandidateCache(size_t budget_bytes, int shards)
     : store_(budget_bytes, shards) {}
 
-bool GroupCandidateCache::IsOffValue(const std::string& value) {
-  return CacheOffSpelling(value);
-}
-
 bool GroupCandidateCache::EnvForcesOff() {
-  static const bool off = [] {
-    const char* env = std::getenv("CSI_CANDIDATE_CACHE");
-    return (env != nullptr && IsOffValue(env)) || CsiCacheEnvDisables("candidate");
-  }();
+  static const bool off = CsiCacheEnvDisables("candidate");
   return off || g_force_env_off.load(std::memory_order_relaxed);
 }
 
@@ -57,8 +49,7 @@ void GroupCandidateCache::ForceEnvOffForTest(bool off) {
 
 uint32_t GroupCandidateCache::InternContext(const GroupSearchConfig& config,
                                             const DisplayConstraints& display) {
-  // Only the knobs EnumerateGroupCandidateSet reads. pool is excluded (output
-  // is pool-independent by construction), and max_sequences /
+  // Only the knobs EnumerateGroupCandidateSet reads: max_sequences /
   // enable_merge_repair steer the sequence chain, not the per-group
   // enumeration.
   Context ctx;

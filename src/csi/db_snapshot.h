@@ -13,11 +13,6 @@
 // the candidate lists are byte-identical to a full rebuild at the same
 // refresh point — the determinism contract locked in by
 // tests/live_database_test.cc.
-//
-// Deprecated adapter: DbSnapshot is implicitly constructible from
-// `const ChunkDatabase&` (non-owning, epoch 0, empty delta), so code written
-// against the old `const ChunkDatabase&` API keeps compiling while call sites
-// migrate.
 
 #ifndef CSI_SRC_CSI_DB_SNAPSHOT_H_
 #define CSI_SRC_CSI_DB_SNAPSHOT_H_
@@ -53,18 +48,15 @@ struct DeltaEntry {
 };
 
 // The immutable state one snapshot pins. Built once by LiveChunkDatabase (or
-// the adapters below) and never mutated afterwards; concurrent readers share
-// it freely.
+// the full-build constructor below) and never mutated afterwards; concurrent
+// readers share it freely.
 struct SnapshotRep {
-  // Manifest version this snapshot describes. Null only for the deprecated
-  // non-owning adapter, where base->manifest() is the caller's manifest.
+  // Manifest version this snapshot describes.
   std::shared_ptr<const media::Manifest> manifest_version;
   // Manifest version `base` was built from (kept alive because the base holds
   // a raw pointer into it). May lag manifest_version by the delta appends.
   std::shared_ptr<const media::Manifest> base_manifest;
-  std::shared_ptr<const ChunkDatabase> owned_base;
-  // Always valid; == owned_base.get() unless the rep is a non-owning view.
-  const ChunkDatabase* base = nullptr;
+  std::shared_ptr<const ChunkDatabase> base;
   // Entries appended after `base` was built, sorted by (size, packed). All
   // packed refs name positions >= base->num_positions(), so base and delta
   // are disjoint.
@@ -104,14 +96,9 @@ class DbSnapshot {
  public:
   DbSnapshot() = default;  // empty handle; valid() is false
 
-  // Deprecated adapter: non-owning view of a caller-kept database, epoch 0,
-  // no delta. Implicit on purpose so `const ChunkDatabase&` call sites keep
-  // compiling during the migration. The database must outlive the snapshot.
-  // NOLINTNEXTLINE(google-explicit-constructor)
-  DbSnapshot(const ChunkDatabase& db);
-
   // Owning snapshot of a full database (no delta). The snapshot keeps the
-  // database alive; `epoch` tags it for cache keying.
+  // database alive; `epoch` tags it for cache keying. The database's manifest
+  // must outlive the snapshot (ChunkDatabase holds it by raw pointer).
   explicit DbSnapshot(std::shared_ptr<const ChunkDatabase> db, uint64_t epoch = 0);
 
   // Internal: wraps a prebuilt rep (LiveChunkDatabase publishes these).
@@ -137,14 +124,8 @@ class DbSnapshot {
   // narrow the sorted delta buffer plus a scan of the in-window entries.
   bool DeltaHasSizeInWindow(Bytes lo, Bytes hi, int min_index) const;
 
-  // The compacted base index. Deprecated escape hatch for code that still
-  // wants a raw ChunkDatabase; it does NOT see the delta buffer.
-  const ChunkDatabase& base() const { return *rep_->base; }
   // Manifest version this snapshot describes.
-  const media::Manifest* manifest() const {
-    return rep_->manifest_version != nullptr ? rep_->manifest_version.get()
-                                             : rep_->base->manifest();
-  }
+  const media::Manifest* manifest() const { return rep_->manifest_version.get(); }
 
   // --- Query API (mirrors ChunkDatabase; results are byte-identical to a
   // --- full build at this snapshot's refresh point) -----------------------
@@ -216,11 +197,6 @@ class CandidateQueryCache {
       : snapshot_(std::move(snapshot)),
         max_entries_per_memo_(max_entries_per_memo == 0 ? 1 : max_entries_per_memo) {}
 
-  // Deprecated adapter: binds to a non-owning epoch-0 view of `db`.
-  explicit CandidateQueryCache(const ChunkDatabase* db,
-                               size_t max_entries_per_memo = kDefaultMaxEntriesPerMemo)
-      : CandidateQueryCache(DbSnapshot(*db), max_entries_per_memo) {}
-
   // Re-points the cache at `snapshot`. Entries survive only when the new
   // handle pins the same published state (SameStateAs); otherwise both memos
   // are cleared so no stale window can be served.
@@ -233,8 +209,6 @@ class CandidateQueryCache {
 
   const DbSnapshot& snapshot() const { return snapshot_; }
   uint64_t epoch() const { return snapshot_.epoch(); }
-  // Deprecated: the bound snapshot's base database.
-  const ChunkDatabase& db() const { return snapshot_.base(); }
   size_t hits() const { return hits_; }
   size_t misses() const { return misses_; }
   size_t evictions() const { return evictions_; }

@@ -59,8 +59,8 @@ struct ObjectSplit {
 
 // All (mask, deficit, v) splits of the group's requests, in the fixed
 // enumeration order (mask outer, then deficit, then video count). Splits
-// depend only on the group and config, never on the start range — computing
-// them once up front is what lets per-start work be partitioned freely.
+// depend only on the group and config, never on the start range, so they are
+// computed once up front and shared by every start.
 ArenaVector<ObjectSplit> EnumerateObjectSplits(const TrafficGroup& group,
                                                const DbSnapshot& db,
                                                const GroupSearchConfig& config,
@@ -343,10 +343,9 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
     }
   }
 
-  // Multi-chunk runs: DFS per start index. Each start gets budgets that are a
-  // function of the query alone (never of the partitioning), so the
-  // per-start outputs — and hence the merged list — are identical whether
-  // the starts run serially or fan out across config.pool workers.
+  // Multi-chunk runs: DFS per start index, in start order. Each start gets
+  // node and candidate budgets that are a function of the query alone, so one
+  // start's output never depends on how much an earlier start produced.
   bool any_multi = false;
   for (const ObjectSplit& split : splits) {
     any_multi = any_multi || split.video_count >= 2;
@@ -356,20 +355,14 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
     const int range = start_hi - start_lo + 1;
     const int64_t per_start_nodes =
         std::max<int64_t>(config.max_dfs_nodes / range, 1 << 16);
-    // Per-start outputs are written by pool workers, so they stay on the
-    // default allocator — the single-threaded arena must not cross threads.
-    std::vector<std::vector<GroupCandidate>> per_start(static_cast<size_t>(range));
-    std::vector<char> start_capped(static_cast<size_t>(range), 0);
-    // Per-job tallies merged by the calling thread: the audit collector is
-    // thread-local to the analyzing thread, and one flush per enumeration
-    // also touches fewer counter atomics than one per job.
-    std::vector<int64_t> job_expanded(static_cast<size_t>(range), 0);
-    std::vector<int64_t> job_pruned(static_cast<size_t>(range), 0);
-    ParallelFor(config.pool, range, [&](int64_t job) {
-      const int s = start_lo + static_cast<int>(job);
-      std::vector<GroupCandidate>& out = per_start[static_cast<size_t>(job)];
-      int64_t nodes_expanded = 0;
-      int64_t nodes_pruned = 0;
+    // Tallies flushed once per enumeration: fewer counter atomics than one
+    // flush per DFS run.
+    int64_t total_expanded = 0;
+    int64_t total_pruned = 0;
+    // One start's candidates; the per-start candidate budget counts these.
+    std::vector<GroupCandidate> out;
+    for (int s = start_lo; s <= start_hi; ++s) {
+      out.clear();
       for (const ObjectSplit& split : splits) {
         const int v = split.video_count;
         if (v < 2 || s + v > positions) {
@@ -377,7 +370,7 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
         }
         if (bounds.MinSum(s, s + v) > split.video_hi ||
             bounds.MaxSum(s, s + v) < split.video_lo) {
-          ++nodes_pruned;
+          ++total_pruned;
           continue;
         }
         RunDfs dfs{db,     bounds,          display,
@@ -386,25 +379,15 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
                    &out,   std::vector<int>(static_cast<size_t>(v), 0),
                    false};
         dfs.Walk(0, 0);
-        nodes_expanded += per_start_nodes - std::max<int64_t>(dfs.node_budget, 0);
-        nodes_pruned += dfs.pruned;
+        total_expanded += per_start_nodes - std::max<int64_t>(dfs.node_budget, 0);
+        total_pruned += dfs.pruned;
         if (dfs.capped) {
-          start_capped[static_cast<size_t>(job)] = 1;
+          capped_flag = true;
           break;
         }
       }
-      job_expanded[static_cast<size_t>(job)] = nodes_expanded;
-      job_pruned[static_cast<size_t>(job)] = nodes_pruned;
-    });
-    int64_t total_expanded = 0;
-    int64_t total_pruned = 0;
-    for (int job = 0; job < range; ++job) {
-      auto& out = per_start[static_cast<size_t>(job)];
       candidates.insert(candidates.end(), std::make_move_iterator(out.begin()),
                         std::make_move_iterator(out.end()));
-      capped_flag = capped_flag || start_capped[static_cast<size_t>(job)] != 0;
-      total_expanded += job_expanded[static_cast<size_t>(job)];
-      total_pruned += job_pruned[static_cast<size_t>(job)];
     }
     CSI_COUNTER_ADD("csi_dfs_nodes_expanded_total", total_expanded);
     CSI_COUNTER_ADD("csi_dfs_nodes_pruned_total", total_pruned);
@@ -427,9 +410,8 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
                             CandidateCost(y, group.estimated_total, group.num_requests(),
                                           config);
                    });
-  // The global cap now falls on the *worst-ranked* candidates (the serial
-  // seed capped in enumeration order); parallel and serial agree because both
-  // rank first and truncate after.
+  // The global cap falls on the *worst-ranked* candidates: rank first,
+  // truncate after.
   if (static_cast<int>(candidates.size()) > config.max_candidates_per_group) {
     candidates.resize(static_cast<size_t>(config.max_candidates_per_group));
     capped_flag = true;
@@ -578,30 +560,27 @@ class GroupSequenceSearcher {
             truncated_ = true;
             break;
           }
-          Transition tr;
+          // The next-index range after this candidate: a wildcard widens it
+          // by the group's request count, a video-free candidate keeps it,
+          // and a video run must start inside it and pins the next index.
+          int lo = parent.lo;
+          int hi = parent.hi;
           if (c.wildcard) {
-            tr.feasible = true;
-            tr.lo = parent.lo;
-            tr.hi = std::min(parent.hi + group.num_requests(), positions_);
-          } else if (c.video_start < 0) {
-            tr.feasible = true;
-            tr.lo = parent.lo;
-            tr.hi = parent.hi;
-          } else if (c.video_start >= parent.lo && c.video_start <= parent.hi) {
-            tr.feasible = true;
-            tr.lo = c.video_end() + 1;
-            tr.hi = tr.lo;
-          }
-          if (!tr.feasible) {
-            continue;
+            hi = std::min(parent.hi + group.num_requests(), positions_);
+          } else if (c.video_start >= 0) {
+            if (c.video_start < parent.lo || c.video_start > parent.hi) {
+              continue;
+            }
+            lo = c.video_end() + 1;
+            hi = lo;
           }
           const double step_cost =
               CandidateCost(c, group.estimated_total, group.num_requests(), config_);
           PathNode node;
           node.g = g;
           node.next_g = next_g;
-          node.lo = tr.lo;
-          node.hi = tr.hi;
+          node.lo = lo;
+          node.hi = hi;
           node.cand = &c;
           node.merged = merged;
           node.parent = idx;
@@ -720,12 +699,6 @@ class GroupSequenceSearcher {
   }
 
  private:
-  struct Transition {
-    bool feasible = false;
-    int lo = 0;
-    int hi = 0;
-  };
-
   struct SlotAssignment {
     int g = 0;
     const GroupCandidate* cand = nullptr;
@@ -783,52 +756,6 @@ class GroupSequenceSearcher {
         &query_cache_, &enum_arena_, context_id_);
     truncated_ = truncated_ || set->truncated;
     return cand_cache_.emplace(key, std::move(set)).first->second->candidates;
-  }
-
-  Transition Apply(const GroupCandidate& c, int g, int lo, int hi) const {
-    Transition tr;
-    if (c.wildcard) {
-      tr.feasible = true;
-      tr.lo = lo;
-      tr.hi = std::min(hi + groups_[static_cast<size_t>(g)].num_requests(), positions_);
-      return tr;
-    }
-    if (c.video_start < 0) {
-      tr.feasible = true;
-      tr.lo = lo;
-      tr.hi = hi;
-      return tr;
-    }
-    if (c.video_start < lo || c.video_start > hi) {
-      return tr;
-    }
-    tr.feasible = true;
-    tr.lo = c.video_end() + 1;
-    tr.hi = tr.lo;
-    return tr;
-  }
-
-  bool CanComplete(int g, int lo, int hi) {
-    if (g == static_cast<int>(groups_.size())) {
-      return true;
-    }
-    const auto key = std::make_tuple(g, lo, hi);
-    auto memo = can_memo_.find(key);
-    if (memo != can_memo_.end()) {
-      return memo->second;
-    }
-    can_memo_[key] = false;
-    bool ok = false;
-    const std::vector<GroupCandidate>& cands = CandidatesFor(g, lo, hi);
-    for (const GroupCandidate& c : cands) {
-      const Transition tr = Apply(c, g, lo, hi);
-      if (tr.feasible && CanComplete(g + 1, tr.lo, tr.hi)) {
-        ok = true;
-        break;
-      }
-    }
-    can_memo_[key] = ok;
-    return ok;
   }
 
   InferredSequence BuildSequence(const std::vector<SlotAssignment>& assignment) const {
@@ -901,7 +828,6 @@ class GroupSequenceSearcher {
   // backs each enumeration's scratch and is reset at every call.
   CandidateQueryCache query_cache_;
   MonotonicArena enum_arena_;
-  std::map<std::tuple<int, int, int>, bool> can_memo_;
   std::vector<std::vector<SlotAssignment>> sequences_;
   bool truncated_ = false;
 };

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "src/common/arena.h"
-#include "src/common/thread_pool.h"
 #include "src/csi/db_snapshot.h"
 #include "src/csi/path_search.h"
 #include "src/csi/splitter.h"
@@ -83,15 +82,10 @@ struct GroupSearchConfig {
   // that repairs exchanges split by retransmitted QUIC requests.
   bool enable_wildcards = true;
   bool enable_merge_repair = true;
-  // Optional worker pool for candidate enumeration: the admissible start
-  // range is partitioned into disjoint per-start-index jobs whose merged,
-  // re-ranked output is bit-identical to the serial path (each start index
-  // gets budgets that do not depend on the partitioning). Null: serial.
-  ThreadPool* pool = nullptr;
   // Optional shared cross-trace result cache (see candidate_cache.h):
   // enumeration consults it before the DFS and publishes after rank+truncate,
   // so results are bit-identical cache-on vs cache-off by construction. Null
-  // (or CSI_CANDIDATE_CACHE=off): every enumeration computes. The caller
+  // (or CSI_CACHE=candidate:off): every enumeration computes. The caller
   // keeps the cache alive for the search's lifetime; it is safe to share
   // across concurrent searches.
   GroupCandidateCache* shared_cache = nullptr;
@@ -102,7 +96,7 @@ struct GroupSearchConfig {
 // Sets `*truncated` if a cap was hit. Candidates are ranked by
 // CandidateCost; ties keep a fixed enumeration order (video-free, then
 // single-chunk runs from the flat size index, then longer runs by start
-// index), so the output is deterministic and independent of config.pool.
+// index), so the output is deterministic.
 // `cache` optionally memoizes flat-index queries across calls; it must not
 // be shared across threads. `arena` optionally backs the enumeration's
 // scratch allocations (splits, prefix-sum bounds, the pre-rank candidate
@@ -133,8 +127,7 @@ std::shared_ptr<const GroupCandidateSet> EnumerateGroupCandidateSet(
 double CandidateCost(const GroupCandidate& candidate, Bytes estimated_total,
                      int group_requests, const GroupSearchConfig& config);
 
-// Full SQ inference over the split groups. `db` is an immutable snapshot (a
-// bare `ChunkDatabase` converts implicitly via the deprecated adapter); the
+// Full SQ inference over the split groups. `db` is an immutable snapshot; the
 // search holds it for the whole call, so concurrent live-database publishes
 // never affect an in-flight search.
 InferenceResult SearchGroupSequences(const std::vector<TrafficGroup>& groups,

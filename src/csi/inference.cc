@@ -32,53 +32,27 @@ bool HasSeparateAudio(DesignType type) {
 }
 
 InferenceEngine::InferenceEngine(DbSnapshot snapshot, InferenceConfig config)
-    : manifest_(snapshot.manifest()),
-      config_(std::move(config)),
-      snapshot_(std::move(snapshot)) {
-  FinishConfig();
-}
-
-InferenceEngine::InferenceEngine(const media::Manifest* manifest, InferenceConfig config)
-    : manifest_(manifest),
-      config_(std::move(config)),
-      snapshot_(std::make_shared<const ChunkDatabase>(
-          manifest, DbBuildOptions{config_.db_build_pool, config_.db_build_shards})) {
-  FinishConfig();
-}
-
-void InferenceEngine::FinishConfig() {
-  // Reconcile the deprecated per-tier cache fields with the unified `caches`
-  // block: a legacy field set non-null wins; from here on both spellings name
-  // the same cache, so readers of either see one coherent set.
-  if (config_.candidate_cache != nullptr) {
-    config_.caches.candidate = config_.candidate_cache;
-  } else {
-    config_.candidate_cache = config_.caches.candidate;
-  }
-  if (config_.prefix_cache != nullptr) {
-    config_.caches.prefix = config_.prefix_cache;
-  } else {
-    config_.prefix_cache = config_.caches.prefix;
-  }
+    : config_(std::move(config)), snapshot_(std::move(snapshot)) {
+  const media::Manifest& manifest = *snapshot_.manifest();
   if (config_.host_suffix.empty()) {
-    config_.host_suffix = manifest_->host;
+    config_.host_suffix = manifest.host;
   }
   if (config_.other_object_sizes.empty()) {
     // The manifest is fetched once per session; its on-the-wire estimate
     // includes the response headers.
-    config_.other_object_sizes.push_back(manifest_->SerializedSize() +
+    config_.other_object_sizes.push_back(manifest.SerializedSize() +
                                          config_.expected_fixed_overhead);
   }
-  if (config_.prefix_cache != nullptr) {
+  if (config_.caches.prefix != nullptr) {
     // Intern after the host-suffix default fill so two engines built from the
     // same manifest share a context whether or not the suffix was explicit.
-    prefix_context_ = config_.prefix_cache->InternContext(
+    prefix_context_ = config_.caches.prefix->InternContext(
         config_.design, config_.host_suffix, config_.splitter);
   }
   if (config_.caches.result != nullptr) {
     // Every knob a result can depend on, captured after the default fills for
-    // the same sharing reason as the prefix context. Pools and the other
-    // cache pointers are excluded: results are byte-identical across those.
+    // the same sharing reason as the prefix context. The other cache pointers
+    // are excluded: results are byte-identical across those.
     ResultCache::Context ctx;
     ctx.design = config_.design;
     ctx.host_suffix = config_.host_suffix;
@@ -99,10 +73,7 @@ void InferenceEngine::FinishConfig() {
   }
 }
 
-void InferenceEngine::UpdateSnapshot(DbSnapshot snapshot) {
-  manifest_ = snapshot.manifest();
-  snapshot_ = std::move(snapshot);
-}
+void InferenceEngine::UpdateSnapshot(DbSnapshot snapshot) { snapshot_ = std::move(snapshot); }
 
 bool InferenceEngine::MatchesSomething(Bytes estimate, double k) const {
   // The video-index probe below is snapshot-dependent: an appended chunk
@@ -275,8 +246,8 @@ InferenceResult InferenceEngine::AnalyzeImpl(const capture::CaptureTrace* trace,
   CSI_COUNTER_INC("csi_analyze_calls_total");
 
   AnalysisPrefixCache* const prefix_cache =
-      config_.prefix_cache != nullptr && !AnalysisPrefixCache::EnvForcesOff()
-          ? config_.prefix_cache.get()
+      config_.caches.prefix != nullptr && !AnalysisPrefixCache::EnvForcesOff()
+          ? config_.caches.prefix.get()
           : nullptr;
   // Top tier: the whole-result cache. Calls with display constraints bypass
   // it — the key deliberately covers only the unconstrained path.
@@ -391,8 +362,7 @@ InferenceResult InferenceEngine::AnalyzeImpl(const capture::CaptureTrace* trace,
   group.other_object_sizes = config_.other_object_sizes;
   group.enable_wildcards = config_.enable_wildcards;
   group.enable_merge_repair = config_.enable_merge_repair;
-  group.pool = config_.search_pool;
-  group.shared_cache = config_.candidate_cache.get();
+  group.shared_cache = config_.caches.candidate.get();
   if (!config_.enable_phantom_deficit) {
     group.max_phantom_requests = 0;
   }

@@ -55,40 +55,21 @@ struct InferenceConfig {
   // Sizes of known non-media objects (manifest etc.) for SQ group matching.
   // Auto-filled with the manifest size when empty.
   std::vector<Bytes> other_object_sizes;
-  // Optional worker pool for the SQ candidate enumeration (see
-  // GroupSearchConfig::pool). Results are identical with or without it.
-  // Caller keeps the pool alive for the engine's lifetime.
-  ThreadPool* search_pool = nullptr;
-  // Optional pool + shard count for the ChunkDatabase build (see
-  // DbBuildOptions). The pool is used only during engine construction; the
-  // index is byte-identical for every pool/shard combination.
-  ThreadPool* db_build_pool = nullptr;
-  int db_build_shards = 0;
-  // Deprecated alias of caches.candidate (see below); either spelling may be
-  // set and the engine reconciles them at construction, a non-null alias
-  // winning. Optional shared group-candidate result cache (candidate_cache.h)
-  // consulted by the SQ enumeration. Shared ownership: several engines (or a
-  // BatchAnalyzer plus standalone engines) may point at one cache and warm
-  // each other up. Results are byte-identical with or without it. Null: no
-  // cross-trace caching.
-  std::shared_ptr<GroupCandidateCache> candidate_cache;
-  // Deprecated alias of caches.prefix, reconciled like candidate_cache.
-  // Optional shared analysis-prefix cache (see prefix_cache.h), consulted
-  // before the per-packet stages (flow classification, size estimation,
-  // traffic splitting). Keyed on a trace fingerprint + interned config
-  // context, and snapshot-independent: entries stay valid across
-  // UpdateSnapshot / LiveChunkDatabase publishes. Shared ownership like
-  // candidate_cache; results are byte-identical with or without it. Null: the
-  // prefix is recomputed per Analyze.
-  std::shared_ptr<AnalysisPrefixCache> prefix_cache;
-  // The unified cache block: one struct naming every tier, in pipeline order
-  // from outermost to innermost. `result` (result_cache.h) memoizes whole
-  // InferenceResults keyed on (trace fingerprint, config context, database
-  // lineage) — a hit skips classification, splitting, enumeration and the
-  // sequence search outright; calls with display constraints bypass it. All
-  // three tiers are share-owned, optional, and byte-transparent: results are
-  // identical with any subset attached. The legacy per-tier fields above
-  // remain as aliases; after construction both spellings agree.
+  // The shared cache tiers, in pipeline order from outermost to innermost:
+  //  * result (result_cache.h) memoizes whole InferenceResults keyed on
+  //    (trace fingerprint, config context, database lineage) — a hit skips
+  //    classification, splitting, enumeration and the sequence search
+  //    outright; calls with display constraints bypass it.
+  //  * prefix (prefix_cache.h) is consulted before the per-packet stages
+  //    (flow classification, size estimation, traffic splitting). Keyed on a
+  //    trace fingerprint + interned config context, and snapshot-independent:
+  //    entries stay valid across UpdateSnapshot / LiveChunkDatabase publishes.
+  //  * candidate (candidate_cache.h) memoizes group candidates for the SQ
+  //    enumeration.
+  // All three are share-owned — several engines (or a BatchAnalyzer plus
+  // standalone engines) may point at one cache and warm each other up —
+  // optional (null: recompute), and byte-transparent: results are identical
+  // with any subset attached.
   struct Caches {
     std::shared_ptr<AnalysisPrefixCache> prefix;
     std::shared_ptr<GroupCandidateCache> candidate;
@@ -99,16 +80,10 @@ struct InferenceConfig {
 
 class InferenceEngine {
  public:
-  // Primary constructor: the engine queries `snapshot` — an immutable,
-  // epoch-tagged database version (see db_snapshot.h / live_database.h). The
-  // snapshot's manifest fills config defaults (host suffix, manifest object
-  // size).
+  // The engine queries `snapshot` — an immutable, epoch-tagged database
+  // version (see db_snapshot.h / live_database.h). The snapshot's manifest
+  // fills config defaults (host suffix, manifest object size).
   InferenceEngine(DbSnapshot snapshot, InferenceConfig config);
-
-  // Deprecated adapter: builds a full database from `manifest` (caller keeps
-  // it alive) using config's db_build_pool/db_build_shards, then behaves like
-  // the snapshot constructor with that database at epoch 0.
-  InferenceEngine(const media::Manifest* manifest, InferenceConfig config);
 
   // Runs the inference on a capture. `display` optionally carries
   // (index -> track) constraints from screen analysis. `audit`, when
@@ -137,13 +112,9 @@ class InferenceEngine {
   void UpdateSnapshot(DbSnapshot snapshot);
 
   const DbSnapshot& snapshot() const { return snapshot_; }
-  // Deprecated: the snapshot's base database (does not see the delta buffer).
-  const ChunkDatabase& db() const { return snapshot_.base(); }
   const InferenceConfig& config() const { return config_; }
 
  private:
-  // Shared tail of both constructors: config defaults derived from manifest_.
-  void FinishConfig();
   // Shared body of both Analyze overloads: exactly one of trace/columns is
   // non-null. The fingerprint and (on a prefix-cache miss) the cold stages
   // run off whichever representation the caller provided; the trace flavor
@@ -168,7 +139,6 @@ class InferenceEngine {
   // Repairs exchanges split in two by retransmitted QUIC request packets.
   void MergePhantomSplits(std::vector<EstimatedExchange>* exchanges, double k) const;
 
-  const media::Manifest* manifest_;
   InferenceConfig config_;
   DbSnapshot snapshot_;
   // Interned prefix-cache context id for this engine's (design, host_suffix,

@@ -48,8 +48,7 @@ LiveChunkDatabase::LiveChunkDatabase(const media::Manifest& initial, Options opt
   auto rep = std::make_shared<internal::SnapshotRep>();
   rep->manifest_version = manifest_version;
   rep->base_manifest = std::move(manifest_version);
-  rep->base = base.get();
-  rep->owned_base = std::move(base);
+  rep->base = std::move(base);
   rep->audio_sizes = rep->base->audio_sizes();
   rep->num_positions = rep->base->num_positions();
   rep->epoch = 0;
@@ -147,7 +146,6 @@ DbSnapshot LiveChunkDatabase::ApplyRefresh(const ManifestRefresh& refresh) {
     auto rep = std::make_shared<internal::SnapshotRep>();
     rep->manifest_version = manifest;
     rep->base_manifest = old->base_manifest;
-    rep->owned_base = old->owned_base;
     rep->base = old->base;
     rep->delta.resize(old->delta.size() + fresh.size());
     std::merge(old->delta.begin(), old->delta.end(), fresh.begin(), fresh.end(),
@@ -212,8 +210,7 @@ void LiveChunkDatabase::CompactFrom(std::shared_ptr<const media::Manifest> manif
   auto rep = std::make_shared<internal::SnapshotRep>();
   rep->manifest_version = old->manifest_version;
   rep->base_manifest = std::move(manifest_version);
-  rep->base = base.get();
-  rep->owned_base = std::move(base);
+  rep->base = std::move(base);
   // Delta entries the new base now covers are dropped; later appends survive
   // (refs are absolute, so they stay valid against the bigger base).
   for (const internal::DeltaEntry& e : old->delta) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 
 #include "src/csi/displayed_info.h"
 
@@ -29,7 +30,9 @@ EvalRun RunAndScore(const SessionConfig& session_config) {
 
   infer::InferenceConfig inference_config;
   inference_config.design = session_config.design;
-  const infer::InferenceEngine engine(session_config.manifest, inference_config);
+  const infer::InferenceEngine engine(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(session_config.manifest)),
+      inference_config);
 
   const auto t0 = std::chrono::steady_clock::now();
   const infer::InferenceResult plain = engine.Analyze(session.capture);

@@ -1,17 +1,19 @@
 // Determinism contract of the parallel batch-inference engine: results are
-// positioned by input index and bit-identical for any worker count, and the
-// parallel SQ candidate enumeration matches the serial path exactly.
+// positioned by input index and bit-identical for any worker count, and
+// `threads` bounds the analyses in flight.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/telemetry.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/csi/live_database.h"
-#include "src/csi/splitter.h"
 #include "src/testbed/experiment.h"
 
 namespace csi {
@@ -79,7 +81,8 @@ TEST(BatchAnalyzer, MatchesSingleTraceEngineByIndex) {
 
   infer::InferenceConfig config;
   config.design = DesignType::kCH;
-  const infer::InferenceEngine reference(&manifest, config);
+  const infer::InferenceEngine reference(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
   infer::BatchConfig batch;
   batch.threads = 4;
   infer::BatchAnalyzer analyzer(&manifest, config, batch);
@@ -100,7 +103,8 @@ TEST(BatchAnalyzer, ThrowingTraceDoesNotPoisonSiblings) {
 
   infer::InferenceConfig config;
   config.design = DesignType::kCH;
-  const infer::InferenceEngine reference(&manifest, config);
+  const infer::InferenceEngine reference(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
 
   infer::BatchConfig batch;
   batch.threads = 4;
@@ -159,10 +163,9 @@ TEST(BatchAnalyzer, NonStdExceptionIsReportedAsUnknown) {
   EXPECT_TRUE(errors[1].empty());
 }
 
-// The snapshot-based constructor is the new primary API: analyzing through a
-// LiveChunkDatabase snapshot must be bit-identical to the manifest-based
-// path, and UpdateSnapshot must keep the engine working across live
-// publishes.
+// Analyzing through a LiveChunkDatabase snapshot must be bit-identical to the
+// manifest constructor's own full build, and UpdateSnapshot must keep the
+// engine working across live publishes.
 TEST(BatchAnalyzer, SnapshotConstructorMatchesManifestConstructor) {
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest manifest = MakeAssetForDesign(DesignType::kSH, 1, duration);
@@ -204,69 +207,33 @@ TEST(BatchAnalyzer, EmptyBatchYieldsEmptyResults) {
   EXPECT_TRUE(analyzer.AnalyzeAll(std::vector<capture::CaptureTrace>{}).empty());
 }
 
-// The SQ candidate enumeration partitions its start range across workers;
-// the merged candidate lists must be bit-identical to the serial path.
-TEST(GroupSearchParallel, CandidateListsIdenticalSerialVsParallelOnSqSession) {
-  const TimeUs duration = 2 * 60 * kUsPerSec;
-  const media::Manifest manifest = MakeAssetForDesign(DesignType::kSQ, 3, duration);
-  testbed::SessionConfig session_config;
-  session_config.design = DesignType::kSQ;
-  session_config.manifest = &manifest;
-  session_config.downlink = nettrace::StableTrace("s", 6 * kMbps);
-  session_config.duration = duration;
-  session_config.seed = 7;
-  const auto session = RunStreamingSession(session_config);
-
-  // Media-flow packets only (same filter the engine applies).
-  const auto groups = infer::SplitIntoGroups(session.capture);
-  ASSERT_FALSE(groups.empty());
-
-  const infer::ChunkDatabase db(&manifest);
-  ThreadPool pool(8);
-  infer::GroupSearchConfig serial_config;
-  infer::GroupSearchConfig parallel_config;
-  parallel_config.pool = &pool;
-
-  const int positions = db.num_positions();
-  for (size_t g = 0; g < groups.size(); ++g) {
-    bool serial_truncated = false;
-    bool parallel_truncated = false;
-    const auto serial = infer::EnumerateGroupCandidates(groups[g], db, serial_config, {}, 0,
-                                                        positions - 1, &serial_truncated);
-    const auto parallel = infer::EnumerateGroupCandidates(
-        groups[g], db, parallel_config, {}, 0, positions - 1, &parallel_truncated);
-    EXPECT_EQ(serial, parallel) << "group " << g;
-    EXPECT_EQ(serial_truncated, parallel_truncated) << "group " << g;
+// `threads` is the number of analyses in flight at once, counting the calling
+// thread that drives the fan-out: threads = 1 must run one analysis at a time.
+TEST(BatchAnalyzer, ThreadsBoundsConcurrentAnalyses) {
+  const media::Manifest manifest = MakeAssetForDesign(DesignType::kCH, 1, 30 * kUsPerSec);
+  const std::vector<capture::CaptureTrace> traces(8);
+  for (const int threads : {1, 2}) {
+    std::atomic<int> in_flight{0};
+    std::atomic<int> max_in_flight{0};
+    infer::InferenceConfig config;
+    config.design = DesignType::kCH;
+    infer::BatchConfig batch;
+    batch.threads = threads;
+    batch.analyze_override = [&](const capture::CaptureTrace&) {
+      const int now = in_flight.fetch_add(1) + 1;
+      int seen = max_in_flight.load();
+      while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
+      }
+      // Long enough for any extra worker to pick up a sibling trace.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      in_flight.fetch_sub(1);
+      return infer::InferenceResult{};
+    };
+    infer::BatchAnalyzer analyzer(&manifest, config, batch);
+    EXPECT_EQ(analyzer.threads(), threads);
+    EXPECT_EQ(analyzer.AnalyzeAll(traces).size(), traces.size());
+    EXPECT_LE(max_in_flight.load(), threads) << "threads = " << threads;
   }
-}
-
-TEST(GroupSearchParallel, FullSqInferenceIdenticalSerialVsParallel) {
-  const TimeUs duration = 2 * 60 * kUsPerSec;
-  const media::Manifest manifest = MakeAssetForDesign(DesignType::kSQ, 4, duration);
-  testbed::SessionConfig session_config;
-  session_config.design = DesignType::kSQ;
-  session_config.manifest = &manifest;
-  Rng rng(17);
-  session_config.downlink =
-      nettrace::CellularTrace("c", 5 * kMbps, 0.4, duration, 2 * kUsPerSec, rng);
-  session_config.duration = duration;
-  session_config.seed = 23;
-  const auto session = RunStreamingSession(session_config);
-
-  infer::InferenceConfig serial_config;
-  serial_config.design = DesignType::kSQ;
-  const infer::InferenceEngine serial_engine(&manifest, serial_config);
-
-  ThreadPool pool(8);
-  infer::InferenceConfig parallel_config;
-  parallel_config.design = DesignType::kSQ;
-  parallel_config.search_pool = &pool;
-  const infer::InferenceEngine parallel_engine(&manifest, parallel_config);
-
-  const auto serial = serial_engine.Analyze(session.capture);
-  const auto parallel = parallel_engine.Analyze(session.capture);
-  EXPECT_FALSE(serial.sequences.empty());
-  EXPECT_EQ(serial, parallel);
 }
 
 }  // namespace

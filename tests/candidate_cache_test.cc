@@ -308,7 +308,7 @@ class CandidateCacheInvalidation : public ::testing::Test {
  protected:
   void SetUp() override {
     if (GroupCandidateCache::EnvForcesOff()) {
-      GTEST_SKIP() << "CSI_CANDIDATE_CACHE forces the cache off";
+      GTEST_SKIP() << "CSI_CACHE=candidate:off in the environment";
     }
   }
 
@@ -436,11 +436,10 @@ TEST_F(CandidateCacheInvalidation, CompactionWithoutAppendsKeepsEntries) {
 
 TEST(CandidateCacheEviction, NeverExceedsByteBudgetUnderLoad) {
   if (GroupCandidateCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_CANDIDATE_CACHE forces the cache off";
+    GTEST_SKIP() << "CSI_CACHE=candidate:off in the environment";
   }
   const Manifest m = SmallManifest(12);
-  const ChunkDatabase db(&m);
-  const DbSnapshot snap(db);
+  const DbSnapshot snap(std::make_shared<const ChunkDatabase>(&m));
   constexpr size_t kBudget = 64 * 1024;
   GroupCandidateCache cache(kBudget, /*shards=*/2);
   GroupSearchConfig config;
@@ -537,7 +536,7 @@ TEST(CandidateCacheBatch, GoldenDigestsHoldWithCacheOnAndOff) {
        {DesignType::kCH, DesignType::kSH, DesignType::kCQ, DesignType::kSQ}) {
     infer::BatchConfig off;
     off.threads = 4;
-    off.candidate_cache_mb = 0;
+    off.caches.candidate.budget_mb = 0;
     EXPECT_EQ(testutil::DigestResults(testutil::AnalyzeFixedBatch(design)),
               testutil::GoldenBatchDigest(design))
         << DesignTypeName(design) << " cache on";
@@ -574,11 +573,11 @@ TEST(CandidateCacheBatch, SqBatchIdenticalWithCacheOnOffAndWarm) {
   cache_on.threads = 2;
   // Keep the result tier out of the way: it would serve the duplicated back
   // half wholesale and starve the candidate-tier warm-hit stats under test.
-  cache_on.caches.result.enabled = false;
+  cache_on.caches.result.budget_mb = 0;
   BatchConfig cache_off;
   cache_off.threads = 2;
-  cache_off.candidate_cache_mb = 0;
-  cache_off.caches.result.enabled = false;
+  cache_off.caches.candidate.budget_mb = 0;
+  cache_off.caches.result.budget_mb = 0;
 
   BatchAnalyzer with_cache(&manifest, config, cache_on);
   BatchAnalyzer without_cache(&manifest, config, cache_off);

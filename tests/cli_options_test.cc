@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/cache_env.h"
 #include "tools/cli_options.h"
 
 namespace csi::tools {
@@ -114,16 +115,26 @@ TEST(CommonOptionsTest, RegistersAndValidates) {
   FlagParser parser;
   common.Register(&parser);
   const Argv args({"--manifest", "m.txt", "--design", "SQ", "--host", "cdn.example",
-                   "--metrics-out", "metrics.prom", "--metrics-format", "prom",
-                   "--db-build-threads", "4"});
+                   "--metrics-out", "metrics.prom", "--metrics-format", "prom"});
   std::string error;
   ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << error;
   ASSERT_TRUE(common.Validate(&error)) << error;
   EXPECT_EQ(common.manifest_path, "m.txt");
   EXPECT_EQ(common.host_suffix, "cdn.example");
   EXPECT_EQ(common.metrics_format, "prom");
-  EXPECT_EQ(common.db_build_threads, 4);
   EXPECT_EQ(common.design(), infer::DesignType::kSQ);
+}
+
+TEST(CommonOptionsTest, DbBuildThreadsIsNotACommonFlag) {
+  // Only csi_batch has a pool to fan the database build over, so it
+  // registers --db-build-threads itself; the shared flags reject it.
+  CommonOptions common;
+  FlagParser parser;
+  common.Register(&parser);
+  const Argv args({"--manifest", "m.txt", "--design", "SQ", "--db-build-threads", "4"});
+  std::string error;
+  EXPECT_FALSE(parser.Parse(args.argc(), args.argv(), nullptr, &error));
+  EXPECT_NE(error.find("--db-build-threads"), std::string::npos) << error;
 }
 
 TEST(CommonOptionsTest, ValidateRejectsBadInputs) {
@@ -150,13 +161,6 @@ TEST(CommonOptionsTest, ValidateRejectsBadInputs) {
     CommonOptions common;
     common.manifest_path = "m.txt";
     common.design_name = "CH";
-    common.db_build_threads = -1;
-    EXPECT_FALSE(common.Validate(&error));
-  }
-  {
-    CommonOptions common;
-    common.manifest_path = "m.txt";
-    common.design_name = "CH";
     EXPECT_TRUE(common.Validate(&error)) << error;
   }
 }
@@ -168,11 +172,10 @@ TEST(CommonOptionsTest, CandidateCacheFlags) {
     FlagParser parser;
     common.Register(&parser);
     const Argv args({"--manifest", "m.txt", "--design", "SQ",
-                     "--candidate-cache-mb", "128"});
+                     "--cache-mb", "candidate=128"});
     ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << error;
     ASSERT_TRUE(common.Validate(&error)) << error;
-    EXPECT_EQ(common.candidate_cache_mb, 128);
-    EXPECT_EQ(common.candidate_cache_budget_mb(), 128);
+    EXPECT_EQ(common.caches.candidate.budget_mb, 128);
   }
   {
     // Defaults: cache on at 64 MiB.
@@ -180,68 +183,48 @@ TEST(CommonOptionsTest, CandidateCacheFlags) {
     common.manifest_path = "m.txt";
     common.design_name = "SQ";
     ASSERT_TRUE(common.Validate(&error)) << error;
-    EXPECT_EQ(common.candidate_cache_budget_mb(), 64);
+    EXPECT_EQ(common.caches.candidate.budget_mb, 64);
   }
   {
-    // --candidate-cache off beats any budget.
+    // A zero budget is the way to disable the tier.
     CommonOptions common;
     FlagParser parser;
     common.Register(&parser);
-    const Argv args({"--manifest", "m.txt", "--design", "SQ", "--candidate-cache",
-                     "off", "--candidate-cache-mb", "128"});
+    const Argv args({"--manifest", "m.txt", "--design", "SQ",
+                     "--cache-mb", "candidate=128", "--cache-mb", "candidate=0"});
     ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << error;
     ASSERT_TRUE(common.Validate(&error)) << error;
-    EXPECT_EQ(common.candidate_cache_budget_mb(), 0);
-  }
-  {
-    // --candidate-cache-mb 0 disables without the switch.
-    CommonOptions common;
-    common.manifest_path = "m.txt";
-    common.design_name = "SQ";
-    common.candidate_cache_mb = 0;
-    ASSERT_TRUE(common.Validate(&error)) << error;
-    EXPECT_EQ(common.candidate_cache_budget_mb(), 0);
+    EXPECT_EQ(common.caches.candidate.budget_mb, 0);
   }
   {
     CommonOptions common;
     common.manifest_path = "m.txt";
     common.design_name = "SQ";
-    common.candidate_cache_mb = -1;
+    common.caches.candidate.budget_mb = -1;
     EXPECT_FALSE(common.Validate(&error));
-    EXPECT_NE(error.find("candidate-cache-mb"), std::string::npos);
-  }
-  {
-    CommonOptions common;
-    common.manifest_path = "m.txt";
-    common.design_name = "SQ";
-    common.candidate_cache = "maybe";
-    EXPECT_FALSE(common.Validate(&error));
-    EXPECT_NE(error.find("candidate-cache"), std::string::npos);
+    EXPECT_NE(error.find("--cache-mb candidate"), std::string::npos);
   }
 }
 
 TEST(FlagParserTest, KeyedFlagsParseAndReject) {
-  std::string mode = "on";
   int budget = 64;
   FlagParser parser;
-  parser.AddKeyedString("--cache", "prefix", &mode);
   parser.AddKeyedInt("--cache-mb", "prefix", &budget);
   {
-    const Argv args({"--cache", "prefix=off", "--cache-mb", "prefix=128"});
+    const Argv args({"--cache-mb", "prefix=128"});
     std::string error;
     ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << error;
-    EXPECT_EQ(mode, "off");
     EXPECT_EQ(budget, 128);
   }
   {
     // A keyed value without '=' is a parse error, not a silent default.
-    const Argv args({"--cache", "prefix"});
+    const Argv args({"--cache-mb", "prefix"});
     std::string error;
     EXPECT_FALSE(parser.Parse(args.argc(), args.argv(), nullptr, &error));
     EXPECT_NE(error.find("KEY=VALUE"), std::string::npos);
   }
   {
-    const Argv args({"--cache", "nonsense=off"});
+    const Argv args({"--cache-mb", "nonsense=8"});
     std::string error;
     EXPECT_FALSE(parser.Parse(args.argc(), args.argv(), nullptr, &error));
     EXPECT_NE(error.find("nonsense"), std::string::npos);
@@ -260,36 +243,35 @@ TEST(CommonOptionsTest, UnifiedCacheFlagsCoverAllTiers) {
   FlagParser parser;
   common.Register(&parser);
   const Argv args({"--manifest", "m.txt", "--design", "SQ",
-                   "--cache", "result=off",
                    "--cache-mb", "prefix=8",
                    "--cache-mb", "candidate=16",
                    "--cache-mb", "result=256"});
   ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << error;
   ASSERT_TRUE(common.Validate(&error)) << error;
-  EXPECT_EQ(common.prefix_cache_budget_mb(), 8);
-  EXPECT_EQ(common.candidate_cache_budget_mb(), 16);
-  // off beats the budget, same combination rule as the legacy flags.
-  EXPECT_EQ(common.result_cache_budget_mb(), 0);
-  EXPECT_EQ(common.result_cache_mb, 256);
+  EXPECT_EQ(common.caches.prefix.budget_mb, 8);
+  EXPECT_EQ(common.caches.candidate.budget_mb, 16);
+  EXPECT_EQ(common.caches.result.budget_mb, 256);
 }
 
-TEST(CommonOptionsTest, LegacyCacheFlagsAliasUnifiedStorage) {
-  // Old and new spellings write the same variables: last one on the command
-  // line wins, regardless of which surface it came from.
-  std::string error;
-  CommonOptions common;
-  FlagParser parser;
-  common.Register(&parser);
-  const Argv args({"--manifest", "m.txt", "--design", "SQ",
-                   "--candidate-cache-mb", "128",
-                   "--cache-mb", "candidate=32",
-                   "--cache", "prefix=off",
-                   "--prefix-cache", "on"});
-  ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << error;
-  ASSERT_TRUE(common.Validate(&error)) << error;
-  EXPECT_EQ(common.candidate_cache_budget_mb(), 32);
-  EXPECT_EQ(common.prefix_cache, "on");
-  EXPECT_EQ(common.prefix_cache_budget_mb(), 32);
+TEST(CommonOptionsTest, RemovedCacheSpellingsAreRejected) {
+  // --cache-mb <tier>=N is the one cache flag: the per-tier flags and the
+  // on/off switch are gone, and each is a parse error rather than a no-op.
+  const std::vector<std::vector<std::string>> removed = {
+      {"--candidate-cache-mb", "8"},
+      {"--prefix-cache", "off"},
+      {"--cache", "result=off"},
+  };
+  for (const std::vector<std::string>& flag : removed) {
+    CommonOptions common;
+    FlagParser parser;
+    common.Register(&parser);
+    std::vector<std::string> argv = {"--manifest", "m.txt", "--design", "SQ"};
+    argv.insert(argv.end(), flag.begin(), flag.end());
+    const Argv args(argv);
+    std::string error;
+    EXPECT_FALSE(parser.Parse(args.argc(), args.argv(), nullptr, &error)) << flag[0];
+    EXPECT_NE(error.find("unknown argument: " + flag[0]), std::string::npos) << error;
+  }
 }
 
 TEST(CommonOptionsTest, ResultCacheFlagsValidate) {
@@ -300,23 +282,15 @@ TEST(CommonOptionsTest, ResultCacheFlagsValidate) {
     common.manifest_path = "m.txt";
     common.design_name = "SQ";
     ASSERT_TRUE(common.Validate(&error)) << error;
-    EXPECT_EQ(common.result_cache_budget_mb(), 64);
+    EXPECT_EQ(common.caches.result.budget_mb, 64);
   }
   {
     CommonOptions common;
     common.manifest_path = "m.txt";
     common.design_name = "SQ";
-    common.result_cache_mb = -1;
+    common.caches.result.budget_mb = -1;
     EXPECT_FALSE(common.Validate(&error));
     EXPECT_NE(error.find("--cache-mb result"), std::string::npos);
-  }
-  {
-    CommonOptions common;
-    common.manifest_path = "m.txt";
-    common.design_name = "SQ";
-    common.result_cache = "maybe";
-    EXPECT_FALSE(common.Validate(&error));
-    EXPECT_NE(error.find("--cache result"), std::string::npos);
   }
 }
 
@@ -325,13 +299,13 @@ TEST(CommonOptionsTest, CsiCacheEnvOverridesPerTier) {
   // say; each cache's EnvForcesOff latches it, so exercise the parser layer
   // directly here (the latch behavior itself is covered per-cache).
   ASSERT_EQ(setenv("CSI_CACHE", "result:off,prefix=off", 1), 0);
-  EXPECT_TRUE(infer::CsiCacheEnvDisables("result"));
-  EXPECT_TRUE(infer::CsiCacheEnvDisables("prefix"));
-  EXPECT_FALSE(infer::CsiCacheEnvDisables("candidate"));
+  EXPECT_TRUE(CsiCacheEnvDisables("result"));
+  EXPECT_TRUE(CsiCacheEnvDisables("prefix"));
+  EXPECT_FALSE(CsiCacheEnvDisables("candidate"));
   ASSERT_EQ(setenv("CSI_CACHE", "all:off", 1), 0);
-  EXPECT_TRUE(infer::CsiCacheEnvDisables("candidate"));
+  EXPECT_TRUE(CsiCacheEnvDisables("candidate"));
   ASSERT_EQ(unsetenv("CSI_CACHE"), 0);
-  EXPECT_FALSE(infer::CsiCacheEnvDisables("result"));
+  EXPECT_FALSE(CsiCacheEnvDisables("result"));
 }
 
 TEST(CommonOptionsTest, ParseDesignNameCoversAllDesigns) {

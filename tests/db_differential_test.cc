@@ -367,9 +367,9 @@ TEST(DbDifferentialTest, CandidateQueryCacheStaysBounded) {
     t.chunks.push_back(Chunk{1000 + 7 * i, 2'000'000});
   }
   m.video_tracks.push_back(std::move(t));
-  const ChunkDatabase db(&m);
+  const auto db = std::make_shared<const ChunkDatabase>(&m);
 
-  CandidateQueryCache cache(&db, /*max_entries_per_memo=*/8);
+  CandidateQueryCache cache(DbSnapshot(db), /*max_entries_per_memo=*/8);
   ASSERT_EQ(cache.max_entries_per_memo(), 8u);
   // 100 distinct windows per entry point: far past the cap.
   for (int i = 0; i < 100; ++i) {
@@ -380,13 +380,13 @@ TEST(DbDifferentialTest, CandidateQueryCacheStaysBounded) {
   EXPECT_LE(cache.size(), 16u);  // 8 per memo
   EXPECT_GE(cache.evictions(), 2u * (100u - 8u));
   // An evicted window re-fetches correctly (and identically to the db).
-  EXPECT_EQ(cache.VideoCandidates(1000, 0.01), db.VideoCandidates(1000, 0.01));
+  EXPECT_EQ(cache.VideoCandidates(1000, 0.01), db->VideoCandidates(1000, 0.01));
   EXPECT_EQ(cache.VideoCandidatesInSizeRange(1000, 1020),
-            db.VideoCandidatesInSizeRange(1000, 1020));
+            db->VideoCandidatesInSizeRange(1000, 1020));
   EXPECT_LE(cache.size(), 16u);
 
   // Repeats of a resident window hit, not evict.
-  CandidateQueryCache small(&db, 4);
+  CandidateQueryCache small(DbSnapshot(db), 4);
   for (int round = 0; round < 10; ++round) {
     for (int i = 0; i < 4; ++i) {
       small.VideoCandidates(1000 + 7 * i, 0.01);
@@ -397,7 +397,7 @@ TEST(DbDifferentialTest, CandidateQueryCacheStaysBounded) {
   EXPECT_EQ(small.evictions(), 0u);
 
   // A zero cap clamps to one entry instead of dividing by zero.
-  CandidateQueryCache clamped(&db, 0);
+  CandidateQueryCache clamped(DbSnapshot(db), 0);
   EXPECT_EQ(clamped.max_entries_per_memo(), 1u);
   clamped.VideoCandidates(1000, 0.01);
   clamped.VideoCandidates(1007, 0.01);

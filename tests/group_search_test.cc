@@ -1,3 +1,5 @@
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "src/csi/group_search.h"
@@ -56,7 +58,7 @@ GroupSearchConfig Config() {
 
 TEST(EnumerateGroupCandidates, SingleVideoPlusAudioPair) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   // Group: video (t1, i3) + one audio chunk.
   const Bytes truth = db.VideoSize(1, 3) + 60000;
   bool truncated = false;
@@ -72,7 +74,7 @@ TEST(EnumerateGroupCandidates, SingleVideoPlusAudioPair) {
 
 TEST(EnumerateGroupCandidates, StartRangeConstrains) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   const Bytes truth = db.VideoSize(0, 5) + 60000;
   bool truncated = false;
   // Range [5,5] finds it; range [0,2] cannot.
@@ -88,7 +90,7 @@ TEST(EnumerateGroupCandidates, StartRangeConstrains) {
 
 TEST(EnumerateGroupCandidates, MultiChunkRun) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   // Videos (t0,i2),(t2,i3),(t1,i4) + 3 audio.
   const Bytes truth = db.VideoSize(0, 2) + db.VideoSize(2, 3) + db.VideoSize(1, 4) + 3 * 60000;
   bool truncated = false;
@@ -107,7 +109,7 @@ TEST(EnumerateGroupCandidates, MultiChunkRun) {
 
 TEST(EnumerateGroupCandidates, AudioOnlyGroup) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   bool truncated = false;
   const auto candidates =
       EnumerateGroupCandidates(MakeGroup(2, Est(120000)), db, Config(), {}, 0, 7, &truncated);
@@ -122,7 +124,7 @@ TEST(EnumerateGroupCandidates, AudioOnlyGroup) {
 
 TEST(EnumerateGroupCandidates, OversizedGroupBecomesWildcard) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   GroupSearchConfig config = Config();
   config.max_group_requests = 4;
   bool truncated = false;
@@ -134,7 +136,7 @@ TEST(EnumerateGroupCandidates, OversizedGroupBecomesWildcard) {
 
 TEST(EnumerateGroupCandidates, UnexplainableGroupBecomesWildcard) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   bool truncated = false;
   const auto candidates =
       EnumerateGroupCandidates(MakeGroup(1, 33), db, Config(), {}, 0, 7, &truncated);
@@ -144,7 +146,7 @@ TEST(EnumerateGroupCandidates, UnexplainableGroupBecomesWildcard) {
 
 TEST(EnumerateGroupCandidates, PhantomRequestDeficit) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   // 3 requests but only 2 objects (one request was a retransmission).
   const Bytes truth = db.VideoSize(1, 0) + 60000;
   GroupSearchConfig config = Config();
@@ -163,7 +165,7 @@ TEST(EnumerateGroupCandidates, PhantomRequestDeficit) {
 
 TEST(EnumerateGroupCandidates, KnownOtherObjectConsumed) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   GroupSearchConfig config = Config();
   config.other_object_sizes = {25000};  // e.g. the manifest
   const Bytes truth = db.VideoSize(0, 0) + 25000;
@@ -181,7 +183,7 @@ TEST(EnumerateGroupCandidates, KnownOtherObjectConsumed) {
 
 TEST(EnumerateGroupCandidates, DisplayConstraintPrunesTracks) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   const Bytes truth = db.VideoSize(1, 3) + 60000;
   DisplayConstraints display;
   display[3] = 2;  // screen says track 2 at index 3 -> truth (track 1) pruned
@@ -197,7 +199,7 @@ TEST(EnumerateGroupCandidates, DisplayConstraintPrunesTracks) {
 
 TEST(SearchGroupSequences, ChainsGroupsContiguously) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   std::vector<TrafficGroup> groups;
   // Group 0: video i0 (t0) + audio; group 1: video i1,i2 (t1,t1) + 2 audio.
   groups.push_back(MakeGroup(2, Est(db.VideoSize(0, 0) + 60000), 0));
@@ -222,7 +224,7 @@ TEST(SearchGroupSequences, ChainsGroupsContiguously) {
 
 TEST(SearchGroupSequences, WildcardGroupWidensButChainRecovers) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   std::vector<TrafficGroup> groups;
   groups.push_back(MakeGroup(2, Est(db.VideoSize(0, 0) + 60000), 0));
   groups.push_back(MakeGroup(2, 12345, 10 * kUsPerSec));  // unexplainable
@@ -242,38 +244,9 @@ TEST(SearchGroupSequences, WildcardGroupWidensButChainRecovers) {
   EXPECT_TRUE(found_recovery);
 }
 
-TEST(EnumerateGroupCandidates, ParallelPartitioningIsBitIdenticalToSerial) {
-  const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
-  ThreadPool pool(8);
-  GroupSearchConfig serial_config = Config();
-  GroupSearchConfig parallel_config = Config();
-  parallel_config.pool = &pool;
-  // Sweep group shapes: single video, multi-chunk runs, audio-only, phantom
-  // deficits — all over the full (unconditioned) start range.
-  const std::vector<TrafficGroup> groups = {
-      MakeGroup(1, Est(db.VideoSize(1, 3))),
-      MakeGroup(2, Est(db.VideoSize(0, 5) + 60000)),
-      MakeGroup(6, Est(db.VideoSize(0, 2) + db.VideoSize(2, 3) + db.VideoSize(1, 4) + 3 * 60000)),
-      MakeGroup(2, Est(2 * 60000)),
-      MakeGroup(3, Est(db.VideoSize(1, 0) + 60000)),
-      MakeGroup(1, 33),  // unexplainable -> wildcard
-  };
-  for (size_t g = 0; g < groups.size(); ++g) {
-    bool serial_truncated = false;
-    bool parallel_truncated = false;
-    const auto serial =
-        EnumerateGroupCandidates(groups[g], db, serial_config, {}, 0, 7, &serial_truncated);
-    const auto parallel = EnumerateGroupCandidates(groups[g], db, parallel_config, {}, 0, 7,
-                                                   &parallel_truncated);
-    EXPECT_EQ(serial, parallel) << "group " << g;
-    EXPECT_EQ(serial_truncated, parallel_truncated) << "group " << g;
-  }
-}
-
 TEST(EnumerateGroupCandidates, CandidateCapKeepsBestRankedDeterministically) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   GroupSearchConfig config = Config();
   config.max_candidates_per_group = 3;
   const Bytes truth = db.VideoSize(1, 3) + 60000;
@@ -290,7 +263,7 @@ TEST(EnumerateGroupCandidates, CandidateCapKeepsBestRankedDeterministically) {
 
 TEST(CandidateCost, GroundTruthRanksAheadOfImpostors) {
   const media::Manifest m = GroupManifest();
-  const ChunkDatabase db(&m);
+  const DbSnapshot db(std::make_shared<const ChunkDatabase>(&m));
   GroupSearchConfig config = Config();
   GroupCandidate truth;
   truth.video_start = 0;

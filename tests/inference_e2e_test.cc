@@ -37,7 +37,8 @@ E2e RunE2e(DesignType design, nettrace::BandwidthTrace trace, uint64_t seed,
   out.session = RunStreamingSession(s);
   infer::InferenceConfig config;
   config.design = design;
-  const infer::InferenceEngine engine(&out.manifest, config);
+  const infer::InferenceEngine engine(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&out.manifest)), config);
   out.inference = engine.Analyze(out.session.capture);
   out.accuracy = testbed::ScoreInference(out.inference, out.session.downloads);
   return out;
@@ -83,7 +84,8 @@ TEST(InferenceE2e, DisplayedChunkInfoNeverHurts) {
     const auto session = RunStreamingSession(s);
     infer::InferenceConfig config;
     config.design = design;
-    const infer::InferenceEngine engine(&manifest, config);
+    const infer::InferenceEngine engine(
+        infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
     const auto plain = engine.Analyze(session.capture);
     Rng ocr_rng(1);
     const auto display = infer::SampleDisplayedChunks(session.displays, s.duration,
@@ -109,7 +111,8 @@ TEST(InferenceE2e, SurvivesPcapRoundTrip) {
       capture::ParsePcap(capture::SerializePcap(direct.session.capture));
   infer::InferenceConfig config;
   config.design = DesignType::kSH;
-  const infer::InferenceEngine engine(&direct.manifest, config);
+  const infer::InferenceEngine engine(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&direct.manifest)), config);
   const auto inference = engine.Analyze(round_tripped);
   const auto accuracy = testbed::ScoreInference(inference, direct.session.downloads);
   EXPECT_EQ(accuracy.best, direct.accuracy.best);
@@ -129,7 +132,8 @@ TEST(InferenceE2e, LossyLinkStillAccurate) {
     const auto session = RunStreamingSession(s);
     infer::InferenceConfig config;
     config.design = design;
-    const infer::InferenceEngine engine(&manifest, config);
+    const infer::InferenceEngine engine(
+        infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
     const auto inference = engine.Analyze(session.capture);
     const auto accuracy = testbed::ScoreInference(inference, session.downloads);
     EXPECT_GT(accuracy.best, 0.95) << infer::DesignTypeName(design);
@@ -174,7 +178,8 @@ TEST(InferenceE2e, EmptyCaptureYieldsNoSequences) {
   const media::Manifest manifest = MakeAssetForDesign(DesignType::kCH, 0, 60 * kUsPerSec);
   infer::InferenceConfig config;
   config.design = DesignType::kCH;
-  const infer::InferenceEngine engine(&manifest, config);
+  const infer::InferenceEngine engine(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
   const auto result = engine.Analyze(capture::CaptureTrace{});
   EXPECT_TRUE(result.sequences.empty());
 }
@@ -205,7 +210,8 @@ TEST(InferenceE2e, ForeignTrafficIgnored) {
   infer::InferenceConfig config;
   config.design = DesignType::kCH;
   config.host_suffix = "unrelated.example.org";
-  const infer::InferenceEngine engine(&e2e.manifest, config);
+  const infer::InferenceEngine engine(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&e2e.manifest)), config);
   EXPECT_TRUE(engine.Analyze(e2e.session.capture).sequences.empty());
 }
 

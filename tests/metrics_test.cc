@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include "src/common/build_info.h"
 #include "src/common/telemetry.h"
 #include "src/testbed/experiment.h"
@@ -191,6 +195,48 @@ TEST(PrometheusExporter, BuildInfoIsWellFormed) {
   for (const auto& [key, value] : labels) {
     EXPECT_TRUE(telemetry::IsValidPrometheusLabelName(key)) << key;
     EXPECT_EQ(telemetry::PromEscapeLabelValue(value), value) << value;
+  }
+}
+
+// Each *_cache_default label follows CSI_CACHE, the one env spelling the
+// cache tiers themselves obey.
+TEST(PrometheusExporter, BuildInfoCacheLabelsFollowCsiCache) {
+  const auto label = [](const std::string& key) {
+    for (const auto& [k, v] : BuildInfoLabels()) {
+      if (k == key) {
+        return v;
+      }
+    }
+    return std::string("<missing>");
+  };
+  const char* outer = std::getenv("CSI_CACHE");
+  const std::optional<std::string> saved =
+      outer != nullptr ? std::optional<std::string>(outer) : std::nullopt;
+
+  ASSERT_EQ(unsetenv("CSI_CACHE"), 0);
+  EXPECT_EQ(label("candidate_cache_default"), "on");
+  EXPECT_EQ(label("prefix_cache_default"), "on");
+  EXPECT_EQ(label("result_cache_default"), "on");
+
+  ASSERT_EQ(setenv("CSI_CACHE", "candidate:off", 1), 0);
+  EXPECT_EQ(label("candidate_cache_default"), "off");
+  EXPECT_EQ(label("prefix_cache_default"), "on");
+  EXPECT_EQ(label("result_cache_default"), "on");
+
+  ASSERT_EQ(setenv("CSI_CACHE", "prefix=off,result:0", 1), 0);
+  EXPECT_EQ(label("candidate_cache_default"), "on");
+  EXPECT_EQ(label("prefix_cache_default"), "off");
+  EXPECT_EQ(label("result_cache_default"), "off");
+
+  ASSERT_EQ(setenv("CSI_CACHE", "all:off", 1), 0);
+  EXPECT_EQ(label("candidate_cache_default"), "off");
+  EXPECT_EQ(label("prefix_cache_default"), "off");
+  EXPECT_EQ(label("result_cache_default"), "off");
+
+  if (saved.has_value()) {
+    ASSERT_EQ(setenv("CSI_CACHE", saved->c_str(), 1), 0);
+  } else {
+    ASSERT_EQ(unsetenv("CSI_CACHE"), 0);
   }
 }
 

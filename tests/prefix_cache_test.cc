@@ -169,7 +169,7 @@ TEST(AnalysisPrefixCache, InternContextDistinguishesEveryKnob) {
 
 TEST(AnalysisPrefixCache, LookupInsertClearRoundTrip) {
   if (AnalysisPrefixCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_PREFIX_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=prefix:off in the environment";
   }
   AnalysisPrefixCache cache(1 << 20);
   const capture::CaptureTrace trace{BasePacket()};
@@ -200,7 +200,7 @@ TEST(AnalysisPrefixCache, LookupInsertClearRoundTrip) {
 
 TEST(AnalysisPrefixCache, EvictionKeepsBytesUnderTinyBudget) {
   if (AnalysisPrefixCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_PREFIX_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=prefix:off in the environment";
   }
   // Budget small enough that a few entries overflow each shard; the clock
   // sweep must keep per-shard bytes bounded and count evictions.
@@ -228,13 +228,13 @@ TEST(AnalysisPrefixCache, EvictionKeepsBytesUnderTinyBudget) {
 }
 
 TEST(AnalysisPrefixCache, OffValueSpellings) {
-  EXPECT_TRUE(AnalysisPrefixCache::IsOffValue("off"));
-  EXPECT_TRUE(AnalysisPrefixCache::IsOffValue("OFF"));
-  EXPECT_TRUE(AnalysisPrefixCache::IsOffValue("0"));
-  EXPECT_TRUE(AnalysisPrefixCache::IsOffValue("none"));
-  EXPECT_FALSE(AnalysisPrefixCache::IsOffValue("on"));
-  EXPECT_FALSE(AnalysisPrefixCache::IsOffValue(""));
-  EXPECT_FALSE(AnalysisPrefixCache::IsOffValue("1"));
+  EXPECT_TRUE(CacheOffSpelling("off"));
+  EXPECT_TRUE(CacheOffSpelling("OFF"));
+  EXPECT_TRUE(CacheOffSpelling("0"));
+  EXPECT_TRUE(CacheOffSpelling("none"));
+  EXPECT_FALSE(CacheOffSpelling("on"));
+  EXPECT_FALSE(CacheOffSpelling(""));
+  EXPECT_FALSE(CacheOffSpelling("1"));
 }
 
 // --- Differential replay: on vs off vs env-disabled ------------------------
@@ -267,8 +267,8 @@ TEST(PrefixCacheDifferential, CacheOnOffEnvDisabledByteIdenticalAcrossSchedules)
     config.design = design;
     BatchConfig off;
     off.threads = 1;
-    off.candidate_cache_mb = 0;
-    off.prefix_cache_mb = 0;
+    off.caches.candidate.budget_mb = 0;
+    off.caches.prefix.budget_mb = 0;
     BatchAnalyzer reference(&manifest, config, off);
     const auto expected = reference.AnalyzeAll(traces);
     EXPECT_EQ(reference.prefix_cache(), nullptr);
@@ -280,7 +280,7 @@ TEST(PrefixCacheDifferential, CacheOnOffEnvDisabledByteIdenticalAcrossSchedules)
         // This test targets the prefix tier's warm-hit stats; the result tier
         // would absorb the duplicate traces first, so keep it off here (its
         // own differential lives in result_cache_test).
-        on.caches.result.enabled = false;
+        on.caches.result.budget_mb = 0;
         BatchAnalyzer analyzer(&manifest, config, on);
         for (int r = 0; r < repeats; ++r) {
           const auto got = analyzer.AnalyzeAll(traces);
@@ -313,7 +313,7 @@ TEST(PrefixCacheDifferential, CacheOnOffEnvDisabledByteIdenticalAcrossSchedules)
     {
       const ForceEnvOffGuard guard;
       InferenceConfig forced = config;
-      forced.prefix_cache = std::make_shared<AnalysisPrefixCache>(32 << 20);
+      forced.caches.prefix = std::make_shared<AnalysisPrefixCache>(32 << 20);
       BatchConfig on;
       on.threads = 3;
       BatchAnalyzer analyzer(&manifest, forced, on);
@@ -321,7 +321,7 @@ TEST(PrefixCacheDifferential, CacheOnOffEnvDisabledByteIdenticalAcrossSchedules)
       for (size_t i = 0; i < got.size(); ++i) {
         ASSERT_EQ(got[i], expected[i]) << ctx << " env-disabled trace " << i;
       }
-      const auto stats = forced.prefix_cache->stats();
+      const auto stats = forced.caches.prefix->stats();
       EXPECT_EQ(stats.lookups(), 0u) << ctx;
       EXPECT_EQ(stats.inserts, 0u) << ctx;
       EXPECT_EQ(stats.entries, 0u) << ctx;
@@ -334,7 +334,7 @@ TEST(PrefixCacheDifferential, GoldenDigestsHoldOnOffAndEnvDisabled) {
        {DesignType::kCH, DesignType::kSH, DesignType::kCQ, DesignType::kSQ}) {
     BatchConfig off;
     off.threads = 4;
-    off.prefix_cache_mb = 0;
+    off.caches.prefix.budget_mb = 0;
     EXPECT_EQ(DigestResults(AnalyzeFixedBatch(design)), GoldenBatchDigest(design))
         << DesignTypeName(design) << " prefix cache on";
     EXPECT_EQ(DigestResults(AnalyzeFixedBatch(design, off)), GoldenBatchDigest(design))
@@ -355,14 +355,14 @@ TEST(PrefixCacheSharing, WarmHitsAcrossEnginesAndBatches) {
 
   InferenceConfig config;
   config.design = DesignType::kSQ;
-  config.prefix_cache = shared;
+  config.caches.prefix = shared;
   BatchConfig batch;
   batch.threads = 2;
 
   BatchAnalyzer first(&manifest, config, batch);
   const auto expected = first.AnalyzeAll(traces);
   if (AnalysisPrefixCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_PREFIX_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=prefix:off in the environment";
   }
   const auto cold = shared->stats();
   EXPECT_EQ(cold.hits, 0u);
@@ -414,7 +414,7 @@ media::Manifest PrefixManifest(const media::Manifest& full, int positions) {
 
 TEST(PrefixCacheLiveReplay, EntriesSurviveRefreshesAndStayByteIdentical) {
   if (AnalysisPrefixCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_PREFIX_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=prefix:off in the environment";
   }
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest full =
@@ -434,17 +434,17 @@ TEST(PrefixCacheLiveReplay, EntriesSurviveRefreshesAndStayByteIdentical) {
   config.other_object_sizes.push_back(full.SerializedSize() +
                                       config.expected_fixed_overhead);
   auto shared = std::make_shared<AnalysisPrefixCache>(32 << 20);
-  config.prefix_cache = shared;
+  config.caches.prefix = shared;
   BatchConfig batch;
   batch.threads = 2;
   BatchAnalyzer analyzer(live.Acquire(), config, batch);
 
   InferenceConfig no_cache = config;
-  no_cache.prefix_cache = nullptr;
+  no_cache.caches.prefix = nullptr;
   BatchConfig off;
   off.threads = 1;
-  off.candidate_cache_mb = 0;
-  off.prefix_cache_mb = 0;
+  off.caches.candidate.budget_mb = 0;
+  off.caches.prefix.budget_mb = 0;
 
   uint64_t hits_before = 0;
   for (size_t round = 0; round <= refreshes.size(); ++round) {
@@ -494,7 +494,7 @@ TEST(PrefixCacheHammer, ConcurrentBatchesSharedCacheUnderLivePublishes) {
   config.other_object_sizes.push_back(full.SerializedSize() +
                                       config.expected_fixed_overhead);
   auto shared = std::make_shared<AnalysisPrefixCache>(32 << 20);
-  config.prefix_cache = shared;
+  config.caches.prefix = shared;
 
   constexpr int kWorkers = 2;
   constexpr int kRounds = 4;
@@ -541,11 +541,11 @@ TEST(PrefixCacheHammer, ConcurrentBatchesSharedCacheUnderLivePublishes) {
   // Serial reference per recorded snapshot, all caches off: the concurrent
   // results must be byte-identical per index.
   InferenceConfig no_cache = config;
-  no_cache.prefix_cache = nullptr;
+  no_cache.caches.prefix = nullptr;
   BatchConfig off;
   off.threads = 1;
-  off.candidate_cache_mb = 0;
-  off.prefix_cache_mb = 0;
+  off.caches.candidate.budget_mb = 0;
+  off.caches.prefix.budget_mb = 0;
   for (int w = 0; w < kWorkers; ++w) {
     ASSERT_EQ(recorded[static_cast<size_t>(w)].size(), static_cast<size_t>(kRounds));
     for (int r = 0; r < kRounds; ++r) {
@@ -570,7 +570,7 @@ TEST(PrefixCacheBatchConfig, ZeroBudgetDisablesTheCache) {
   InferenceConfig config;
   config.design = DesignType::kCH;
   BatchConfig batch;
-  batch.prefix_cache_mb = 0;
+  batch.caches.prefix.budget_mb = 0;
   batch.threads = 1;
   BatchAnalyzer analyzer(&manifest, config, batch);
   EXPECT_EQ(analyzer.prefix_cache(), nullptr);

@@ -244,18 +244,18 @@ TEST(ResultCacheMechanics, InternContextDistinguishesEveryKnob) {
 }
 
 TEST(ResultCacheMechanics, OffValueSpellings) {
-  EXPECT_TRUE(ResultCache::IsOffValue("off"));
-  EXPECT_TRUE(ResultCache::IsOffValue("OFF"));
-  EXPECT_TRUE(ResultCache::IsOffValue("0"));
-  EXPECT_TRUE(ResultCache::IsOffValue("none"));
-  EXPECT_FALSE(ResultCache::IsOffValue("on"));
-  EXPECT_FALSE(ResultCache::IsOffValue(""));
-  EXPECT_FALSE(ResultCache::IsOffValue("1"));
+  EXPECT_TRUE(CacheOffSpelling("off"));
+  EXPECT_TRUE(CacheOffSpelling("OFF"));
+  EXPECT_TRUE(CacheOffSpelling("0"));
+  EXPECT_TRUE(CacheOffSpelling("none"));
+  EXPECT_FALSE(CacheOffSpelling("on"));
+  EXPECT_FALSE(CacheOffSpelling(""));
+  EXPECT_FALSE(CacheOffSpelling("1"));
 }
 
 TEST(ResultCacheMechanics, RevalidationBoundariesAcrossLiveStates) {
   if (ResultCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_RESULT_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=result:off in the environment";
   }
   const media::Manifest full =
       testbed::MakeAssetForDesign(DesignType::kSQ, 1, 60 * kUsPerSec);
@@ -347,7 +347,7 @@ TEST(ResultCacheMechanics, RevalidationBoundariesAcrossLiveStates) {
 
 TEST(ResultCacheMechanics, CompactionInvalidatesSensitiveEntries) {
   if (ResultCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_RESULT_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=result:off in the environment";
   }
   const media::Manifest full =
       testbed::MakeAssetForDesign(DesignType::kSQ, 1, 60 * kUsPerSec);
@@ -398,7 +398,7 @@ TEST(ResultCacheMechanics, CompactionInvalidatesSensitiveEntries) {
 
 TEST(ResultCacheMechanics, EvictionKeepsBytesUnderTinyBudget) {
   if (ResultCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_RESULT_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=result:off in the environment";
   }
   const media::Manifest manifest =
       testbed::MakeAssetForDesign(DesignType::kCH, 1, 30 * kUsPerSec);
@@ -479,9 +479,9 @@ TEST(ResultCacheDifferential, CacheOnOffEnvDisabledByteIdenticalAcrossSchedules)
     config.design = design;
     BatchConfig off;
     off.threads = 1;
-    off.candidate_cache_mb = 0;
-    off.prefix_cache_mb = 0;
-    off.caches.result.enabled = false;
+    off.caches.candidate.budget_mb = 0;
+    off.caches.prefix.budget_mb = 0;
+    off.caches.result.budget_mb = 0;
     BatchAnalyzer reference(&manifest, config, off);
     const auto expected = reference.AnalyzeAll(traces);
     EXPECT_EQ(reference.result_cache(), nullptr);
@@ -542,7 +542,7 @@ TEST(ResultCacheDifferential, GoldenDigestsHoldOnOffAndEnvDisabled) {
        {DesignType::kCH, DesignType::kSH, DesignType::kCQ, DesignType::kSQ}) {
     BatchConfig off;
     off.threads = 4;
-    off.caches.result.enabled = false;
+    off.caches.result.budget_mb = 0;
     EXPECT_EQ(DigestResults(AnalyzeFixedBatch(design)), GoldenBatchDigest(design))
         << DesignTypeName(design) << " result cache on";
     EXPECT_EQ(DigestResults(AnalyzeFixedBatch(design, off)), GoldenBatchDigest(design))
@@ -567,7 +567,7 @@ TEST(ResultCacheSharing, SecondBatchOverSameTracesRunsFullyWarm) {
   BatchAnalyzer analyzer(&manifest, config, batch);
   const auto expected = analyzer.AnalyzeAll(traces);
   if (ResultCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_RESULT_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=result:off in the environment";
   }
   ASSERT_NE(analyzer.result_cache(), nullptr);
   const auto cold = analyzer.result_cache()->stats();
@@ -618,7 +618,7 @@ media::Manifest PrefixManifest(const media::Manifest& full, int positions) {
 
 TEST(ResultCacheLiveReplay, RefreshRoundsStayByteIdenticalAndWarmWithinAState) {
   if (ResultCache::EnvForcesOff()) {
-    GTEST_SKIP() << "CSI_RESULT_CACHE=off in the environment";
+    GTEST_SKIP() << "CSI_CACHE=result:off in the environment";
   }
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest full =
@@ -647,9 +647,9 @@ TEST(ResultCacheLiveReplay, RefreshRoundsStayByteIdenticalAndWarmWithinAState) {
   no_cache.caches.result = nullptr;
   BatchConfig off;
   off.threads = 1;
-  off.candidate_cache_mb = 0;
-  off.prefix_cache_mb = 0;
-  off.caches.result.enabled = false;
+  off.caches.candidate.budget_mb = 0;
+  off.caches.prefix.budget_mb = 0;
+  off.caches.result.budget_mb = 0;
 
   for (size_t round = 0; round <= refreshes.size(); ++round) {
     if (round > 0) {
@@ -747,9 +747,9 @@ TEST(ResultCacheHammer, ConcurrentBatchesSharedCacheUnderLivePublishes) {
   no_cache.caches.result = nullptr;
   BatchConfig off;
   off.threads = 1;
-  off.candidate_cache_mb = 0;
-  off.prefix_cache_mb = 0;
-  off.caches.result.enabled = false;
+  off.caches.candidate.budget_mb = 0;
+  off.caches.prefix.budget_mb = 0;
+  off.caches.result.budget_mb = 0;
   for (int w = 0; w < kWorkers; ++w) {
     ASSERT_EQ(recorded[static_cast<size_t>(w)].size(), static_cast<size_t>(kRounds));
     for (int r = 0; r < kRounds; ++r) {
@@ -784,7 +784,7 @@ TEST(ResultCacheBatchConfig, KnobsCreateAndDisableTheTier) {
   {
     BatchConfig batch;
     batch.threads = 1;
-    batch.caches.result.enabled = false;
+    batch.caches.result.budget_mb = 0;
     BatchAnalyzer analyzer(&manifest, config, batch);
     EXPECT_EQ(analyzer.result_cache(), nullptr);
   }

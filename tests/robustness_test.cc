@@ -41,7 +41,8 @@ TEST(Robustness, BurstyLossStillInfersAccurately) {
   const auto result = RunStreamingSession(s);
   infer::InferenceConfig config;
   config.design = DesignType::kSH;
-  const infer::InferenceEngine engine(&manifest, config);
+  const infer::InferenceEngine engine(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
   const auto accuracy =
       testbed::ScoreInference(engine.Analyze(result.capture), result.downloads);
   EXPECT_GT(accuracy.best, 0.95);
@@ -54,7 +55,8 @@ TEST(Robustness, NoisyOcrStillHelps) {
   const auto result = RunSession(&manifest, DesignType::kSQ, 9);
   infer::InferenceConfig config;
   config.design = DesignType::kSQ;
-  const infer::InferenceEngine engine(&manifest, config);
+  const infer::InferenceEngine engine(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
   const auto plain = testbed::ScoreInference(engine.Analyze(result.capture), result.downloads);
   infer::OcrConfig ocr;
   ocr.miss_rate = 0.5;
@@ -103,7 +105,8 @@ TEST(Robustness, AblationSwitchesDoNotBreakNonMux) {
       config.enable_wildcards = wildcards;
       config.enable_merge_repair = merge;
       config.enable_phantom_deficit = false;
-      const infer::InferenceEngine engine(&manifest, config);
+      const infer::InferenceEngine engine(
+          infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
       const auto accuracy =
           testbed::ScoreInference(engine.Analyze(result.capture), result.downloads);
       EXPECT_GT(accuracy.best, 0.9) << wildcards << merge;
@@ -117,7 +120,8 @@ TEST(Robustness, UncalibratedRankingStillFindsSomething) {
   infer::InferenceConfig config;
   config.design = DesignType::kSQ;
   config.enable_calibrated_ranking = false;
-  const infer::InferenceEngine engine(&manifest, config);
+  const infer::InferenceEngine engine(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
   const auto inference = engine.Analyze(result.capture);
   EXPECT_FALSE(inference.sequences.empty());
 }
@@ -129,8 +133,10 @@ TEST(Robustness, Sp2DisabledDegradesSqButRuns) {
   with_sp2.design = DesignType::kSQ;
   infer::InferenceConfig without_sp2 = with_sp2;
   without_sp2.splitter.enable_sp2 = false;
-  const infer::InferenceEngine engine_on(&manifest, with_sp2);
-  const infer::InferenceEngine engine_off(&manifest, without_sp2);
+  const infer::InferenceEngine engine_on(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), with_sp2);
+  const infer::InferenceEngine engine_off(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), without_sp2);
   const auto on = testbed::ScoreInference(engine_on.Analyze(result.capture), result.downloads);
   const auto off =
       testbed::ScoreInference(engine_off.Analyze(result.capture), result.downloads);
@@ -154,7 +160,8 @@ TEST(Robustness, TruncatedCaptureGivesPartialButConsistentResult) {
   }
   infer::InferenceConfig config;
   config.design = DesignType::kCH;
-  const infer::InferenceEngine engine(&manifest, config);
+  const infer::InferenceEngine engine(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
   const auto inference = engine.Analyze(half);
   ASSERT_FALSE(inference.sequences.empty());
   const auto accuracy = testbed::ScoreInference(inference, truncated_gt);
@@ -178,7 +185,8 @@ TEST(Robustness, WrongDesignTypeFailsSafely) {
   const auto result = RunSession(&manifest, DesignType::kSQ, 29, 4 * 60 * kUsPerSec);
   infer::InferenceConfig config;
   config.design = DesignType::kCQ;  // ignores multiplexing
-  const infer::InferenceEngine engine(&manifest, config);
+  const infer::InferenceEngine engine(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
   const auto accuracy =
       testbed::ScoreInference(engine.Analyze(result.capture), result.downloads);
   EXPECT_LT(accuracy.best, 1.0);

@@ -25,17 +25,10 @@ void FlagParser::AddBool(const std::string& name, bool* value) {
   flags_[name] = Flag{Kind::kBool, value, {}};
 }
 
-void FlagParser::AddKeyedString(const std::string& name, const std::string& key,
-                                std::string* value) {
-  Flag& flag = flags_[name];
-  flag.kind = Kind::kKeyed;
-  flag.keyed[key] = Flag{Kind::kString, value, {}};
-}
-
 void FlagParser::AddKeyedInt(const std::string& name, const std::string& key, int* value) {
   Flag& flag = flags_[name];
   flag.kind = Kind::kKeyed;
-  flag.keyed[key] = Flag{Kind::kInt, value, {}};
+  flag.keyed[key] = value;
 }
 
 namespace {
@@ -112,9 +105,7 @@ bool FlagParser::Parse(int argc, const char* const* argv,
         }
         return false;
       }
-      if (sub->second.kind == Kind::kString) {
-        *static_cast<std::string*>(sub->second.target) = rest;
-      } else if (!ParseIntValue(rest, static_cast<int*>(sub->second.target))) {
+      if (!ParseIntValue(rest, sub->second)) {
         if (error != nullptr) {
           *error = "invalid integer for " + arg + " " + key + ": " + rest;
         }
@@ -142,19 +133,9 @@ void CommonOptions::Register(FlagParser* parser) {
   parser->AddString("--host", &host_suffix);
   parser->AddString("--metrics-out", &metrics_out);
   parser->AddString("--metrics-format", &metrics_format);
-  parser->AddInt("--db-build-threads", &db_build_threads);
-  // The unified per-tier cache flags and their legacy aliases write the same
-  // storage, so either spelling (or a mix) works and the last one wins.
-  parser->AddKeyedString("--cache", "prefix", &prefix_cache);
-  parser->AddKeyedString("--cache", "candidate", &candidate_cache);
-  parser->AddKeyedString("--cache", "result", &result_cache);
-  parser->AddKeyedInt("--cache-mb", "prefix", &prefix_cache_mb);
-  parser->AddKeyedInt("--cache-mb", "candidate", &candidate_cache_mb);
-  parser->AddKeyedInt("--cache-mb", "result", &result_cache_mb);
-  parser->AddInt("--candidate-cache-mb", &candidate_cache_mb);
-  parser->AddString("--candidate-cache", &candidate_cache);
-  parser->AddInt("--prefix-cache-mb", &prefix_cache_mb);
-  parser->AddString("--prefix-cache", &prefix_cache);
+  parser->AddKeyedInt("--cache-mb", "prefix", &caches.prefix.budget_mb);
+  parser->AddKeyedInt("--cache-mb", "candidate", &caches.candidate.budget_mb);
+  parser->AddKeyedInt("--cache-mb", "result", &caches.result.budget_mb);
   parser->AddString("--trace-out", &trace_out);
   parser->AddString("--trace-mode", &trace_mode);
   parser->AddString("--audit-out", &audit_out);
@@ -180,47 +161,15 @@ bool CommonOptions::Validate(std::string* error) const {
     }
     return false;
   }
-  if (db_build_threads < 0) {
-    if (error != nullptr) {
-      *error = "--db-build-threads must be >= 0";
+  for (const auto& [name, options] : {std::pair{"prefix", caches.prefix},
+                                      std::pair{"candidate", caches.candidate},
+                                      std::pair{"result", caches.result}}) {
+    if (options.budget_mb < 0) {
+      if (error != nullptr) {
+        *error = std::string("--cache-mb ") + name + " must be >= 0";
+      }
+      return false;
     }
-    return false;
-  }
-  if (candidate_cache_mb < 0) {
-    if (error != nullptr) {
-      *error = "--candidate-cache-mb must be >= 0";
-    }
-    return false;
-  }
-  if (candidate_cache != "on" && candidate_cache != "off") {
-    if (error != nullptr) {
-      *error = "--candidate-cache must be on or off";
-    }
-    return false;
-  }
-  if (prefix_cache_mb < 0) {
-    if (error != nullptr) {
-      *error = "--prefix-cache-mb must be >= 0";
-    }
-    return false;
-  }
-  if (prefix_cache != "on" && prefix_cache != "off") {
-    if (error != nullptr) {
-      *error = "--prefix-cache must be on or off";
-    }
-    return false;
-  }
-  if (result_cache_mb < 0) {
-    if (error != nullptr) {
-      *error = "--cache-mb result must be >= 0";
-    }
-    return false;
-  }
-  if (result_cache != "on" && result_cache != "off") {
-    if (error != nullptr) {
-      *error = "--cache result must be on or off";
-    }
-    return false;
   }
   if (trace_mode != "full" && trace_mode != "flight") {
     if (error != nullptr) {
@@ -229,18 +178,6 @@ bool CommonOptions::Validate(std::string* error) const {
     return false;
   }
   return true;
-}
-
-int CommonOptions::candidate_cache_budget_mb() const {
-  return candidate_cache == "off" ? 0 : candidate_cache_mb;
-}
-
-int CommonOptions::prefix_cache_budget_mb() const {
-  return prefix_cache == "off" ? 0 : prefix_cache_mb;
-}
-
-int CommonOptions::result_cache_budget_mb() const {
-  return result_cache == "off" ? 0 : result_cache_mb;
 }
 
 infer::DesignType CommonOptions::design() const {
@@ -337,14 +274,6 @@ std::string FormatCacheSummaryBlock(const infer::ResultCache* result,
     append(infer::FormatCacheSummary("candidate", candidate->stats()));
   }
   return block;
-}
-
-std::string FormatCandidateCacheSummary(const infer::GroupCandidateCache::Stats& stats) {
-  return infer::FormatCacheSummary("candidate", stats);
-}
-
-std::string FormatPrefixCacheSummary(const infer::AnalysisPrefixCache::Stats& stats) {
-  return infer::FormatCacheSummary("prefix", stats);
 }
 
 std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot) {

@@ -2,8 +2,9 @@
 //
 // csi_analyze and csi_batch grew the same hand-rolled flag loops, design-name
 // parsing, file slurping, and metrics-snapshot writing; this header is the
-// one copy. FlagParser is deliberately tiny — string/int/bool flags, `--help`
-// detection, positional collection — not a general argv framework.
+// one copy. FlagParser is deliberately tiny — string/int/bool and keyed-int
+// flags, `--help` detection, positional collection — not a general argv
+// framework.
 
 #ifndef CSI_TOOLS_CLI_OPTIONS_H_
 #define CSI_TOOLS_CLI_OPTIONS_H_
@@ -14,9 +15,7 @@
 
 #include "src/common/telemetry.h"
 #include "src/csi/audit.h"
-#include "src/csi/candidate_cache.h"
-#include "src/csi/prefix_cache.h"
-#include "src/csi/result_cache.h"
+#include "src/csi/batch_analyzer.h"
 #include "src/csi/types.h"
 
 namespace csi::tools {
@@ -32,12 +31,9 @@ class FlagParser {
   void AddInt(const std::string& name, int* value);
   // Presence flag `--name` (no value); sets *value to true.
   void AddBool(const std::string& name, bool* value);
-  // `--name KEY=VALUE`, repeatable: the VALUE for each registered KEY lands
-  // in that key's target (an unregistered KEY is a parse error). Register the
-  // same flag name once per key; string and int targets may mix across keys
-  // of different flags but each key has one kind.
-  void AddKeyedString(const std::string& name, const std::string& key, std::string* value);
-  // Keyed variant of AddInt: `--name KEY=N`.
+  // `--name KEY=N`, repeatable: N for each registered KEY lands in that key's
+  // target (an unregistered KEY is a parse error). Register the same flag
+  // name once per key.
   void AddKeyedInt(const std::string& name, const std::string& key, int* value);
 
   // Parses argv[1..argc). Returns false and fills *error on an unknown flag,
@@ -54,8 +50,8 @@ class FlagParser {
   struct Flag {
     Kind kind = Kind::kString;
     void* target = nullptr;
-    // kKeyed only: per-KEY subtargets (kString or kInt each).
-    std::map<std::string, Flag> keyed;
+    // kKeyed only: per-KEY int targets.
+    std::map<std::string, int*> keyed;
   };
 
   std::map<std::string, Flag> flags_;
@@ -70,27 +66,10 @@ struct CommonOptions {
   std::string host_suffix;
   std::string metrics_out;
   std::string metrics_format = "json";
-  // Shard count for the chunk-database build (0 = one shard per worker).
-  int db_build_threads = 0;
-  // Per-tier cache knobs, written by the unified `--cache <name>=on|off` /
-  // `--cache-mb <name>=N` flags and equally by the legacy per-tier flags
-  // (`--candidate-cache-mb` etc.), which are plain aliases of the same
-  // storage — last flag on the command line wins, whichever spelling. "off"
-  // wins over any budget; the CSI_CACHE=<name>:off (or legacy per-tier)
-  // environment override beats both.
-  // Byte budget (MiB) for the shared group-candidate cache; 0 disables it.
-  int candidate_cache_mb = 64;
-  // "on" (default) or "off".
-  std::string candidate_cache = "on";
-  // Byte budget (MiB) for the shared analysis-prefix cache; 0 disables it.
-  int prefix_cache_mb = 32;
-  // "on" (default) or "off".
-  std::string prefix_cache = "on";
-  // Byte budget (MiB) for the shared whole-result cache; 0 disables it.
-  // Unified spelling only (the tier is newer than the legacy flags).
-  int result_cache_mb = 64;
-  // "on" (default) or "off".
-  std::string result_cache = "on";
+  // Per-tier cache budgets (MiB), written by `--cache-mb <name>=N`; 0
+  // disables a tier, and the CSI_CACHE=<name>:off environment override
+  // disables it whatever the budget. Defaults are BatchConfig's.
+  infer::BatchConfig::Caches caches;
   // Structured-trace output (Chrome trace-event JSON, Perfetto-loadable);
   // empty leaves tracing off entirely.
   std::string trace_out;
@@ -102,23 +81,14 @@ struct CommonOptions {
   std::string audit_out;
 
   // Registers --manifest, --design, --host, --metrics-out, --metrics-format,
-  // --db-build-threads, the unified cache flags --cache <name>=on|off and
-  // --cache-mb <name>=N for name in {prefix, candidate, result}, their legacy
-  // aliases --candidate-cache-mb, --candidate-cache, --prefix-cache-mb,
-  // --prefix-cache, plus --trace-out, --trace-mode, --audit-out.
+  // --cache-mb <name>=N for name in {prefix, candidate, result}, --trace-out,
+  // --trace-mode and --audit-out.
   void Register(FlagParser* parser);
   // Returns false and fills *error when required flags are missing or values
   // are out of range. Call after Parse().
   bool Validate(std::string* error) const;
   // The parsed --design value; only valid after Validate() passed.
   infer::DesignType design() const;
-  // The effective cache budget in MiB after combining both cache flags
-  // (0 when disabled). Only valid after Validate() passed.
-  int candidate_cache_budget_mb() const;
-  // Same combination for the analysis-prefix cache flags.
-  int prefix_cache_budget_mb() const;
-  // Same combination for the whole-result cache flags.
-  int result_cache_budget_mb() const;
 };
 
 // Parses CH|SH|CQ|SQ into *out; false on anything else.
@@ -152,11 +122,6 @@ bool FinishTraceSession(const CommonOptions& options, std::string* error);
 std::string FormatCacheSummaryBlock(const infer::ResultCache* result,
                                     const infer::AnalysisPrefixCache* prefix,
                                     const infer::GroupCandidateCache* candidate);
-
-// Deprecated single-tier summaries, now thin wrappers over the shared
-// infer::FormatCacheSummary formatter (one consistent line shape per tier).
-std::string FormatCandidateCacheSummary(const infer::GroupCandidateCache::Stats& stats);
-std::string FormatPrefixCacheSummary(const infer::AnalysisPrefixCache::Stats& stats);
 
 // Per-stage timing breakdown from the csi_stage_duration_seconds span
 // histograms in `snapshot`: per-packet stages (flow_classify, traffic_split,

@@ -3,8 +3,7 @@
 // Usage:
 //   csi_analyze --pcap session.pcap --manifest video.manifest --design SH
 //               [--host suffix] [--max-sequences N] [--report sequence|qoe|both]
-//               [--db-build-threads N]
-//               [--cache NAME=on|off] [--cache-mb NAME=N]
+//               [--cache-mb NAME=N]
 //               [--metrics-out FILE] [--metrics-format json|prom]
 //               [--trace-out FILE] [--trace-mode full|flight] [--audit-out FILE]
 //
@@ -21,7 +20,8 @@
 #include "src/capture/pcap_io.h"
 #include "src/common/table.h"
 #include "src/common/tracing.h"
-#include "src/csi/candidate_cache.h"
+#include "src/csi/batch_analyzer.h"
+#include "src/csi/chunk_database.h"
 #include "src/csi/inference.h"
 #include "src/csi/qoe.h"
 #include "tools/cli_options.h"
@@ -37,10 +37,9 @@ namespace {
   std::fprintf(stderr,
                "usage: csi_analyze --pcap FILE --manifest FILE --design CH|SH|CQ|SQ\n"
                "                   [--host SUFFIX] [--max-sequences N]\n"
-               "                   [--report sequence|qoe|both] [--db-build-threads N]\n"
-               "                   [--cache NAME=on|off] [--cache-mb NAME=N]\n"
-               "                   (NAME in {result, prefix, candidate}; legacy\n"
-               "                   --candidate-cache*/--prefix-cache* flags still accepted)\n"
+               "                   [--report sequence|qoe|both]\n"
+               "                   [--cache-mb NAME=N] (MiB; NAME in {result, prefix,\n"
+               "                   candidate}; 0 or CSI_CACHE=NAME:off disables a tier)\n"
                "                   [--metrics-out FILE] [--metrics-format json|prom]\n"
                "                   [--trace-out FILE] [--trace-mode full|flight]\n"
                "                   [--audit-out FILE]\n");
@@ -98,32 +97,16 @@ int main(int argc, char** argv) {
   infer::InferenceConfig config;
   config.design = common.design();
   config.max_sequences = max_sequences;
-  config.db_build_shards = common.db_build_threads;
   if (!common.host_suffix.empty()) {
     config.host_suffix = common.host_suffix;
   }
-  // Single-trace runs still profit within the trace (repeated group
-  // signatures across SQ groups); the cache also feeds the hit-rate metrics.
-  if (const int cache_mb = common.candidate_cache_budget_mb();
-      cache_mb > 0 && !infer::GroupCandidateCache::EnvForcesOff()) {
-    config.candidate_cache = std::make_shared<infer::GroupCandidateCache>(
-        static_cast<size_t>(cache_mb) * 1024 * 1024);
-  }
-  // One trace means at most one prefix entry, but attaching the cache keeps
-  // the lookup metrics and trace instants exercised on the single-shot tool.
-  if (const int cache_mb = common.prefix_cache_budget_mb();
-      cache_mb > 0 && !infer::AnalysisPrefixCache::EnvForcesOff()) {
-    config.prefix_cache = std::make_shared<infer::AnalysisPrefixCache>(
-        static_cast<size_t>(cache_mb) * 1024 * 1024);
-  }
-  // Same reasoning for the whole-result tier: a single shot can only miss,
-  // but the lookup path and its metrics stay exercised.
-  if (const int cache_mb = common.result_cache_budget_mb();
-      cache_mb > 0 && !infer::ResultCache::EnvForcesOff()) {
-    config.caches.result = std::make_shared<infer::ResultCache>(
-        static_cast<size_t>(cache_mb) * 1024 * 1024);
-  }
-  const infer::InferenceEngine engine(&manifest, config);
+  // Single-trace runs still profit from the candidate tier within the trace
+  // (repeated group signatures across SQ groups). A single shot can only miss
+  // the prefix and result tiers, but attaching them keeps their lookup
+  // metrics and trace instants exercised on the single-shot tool.
+  infer::AttachCaches(common.caches, &config.caches);
+  const infer::InferenceEngine engine(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
   infer::InferenceAudit audit;
   infer::InferenceResult result;
   try {
@@ -155,7 +138,7 @@ int main(int argc, char** argv) {
               result.truncated ? " (truncated)" : "");
   {
     const std::string cache_block = tools::FormatCacheSummaryBlock(
-        config.caches.result.get(), config.prefix_cache.get(), config.candidate_cache.get());
+        config.caches.result.get(), config.caches.prefix.get(), config.caches.candidate.get());
     if (!cache_block.empty()) {
       std::printf("%s\n", cache_block.c_str());
     }

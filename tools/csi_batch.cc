@@ -5,7 +5,7 @@
 //             [--threads N] [--db-build-threads N] [--repeat R]
 //             [--host SUFFIX] [--quiet]
 //             [--follow-manifests N] [--db-compact-after N]
-//             [--cache NAME=on|off] [--cache-mb NAME=N]
+//             [--cache-mb NAME=N]
 //             [--metrics-out FILE] [--metrics-format json|prom]
 //             [--trace-out FILE] [--trace-mode full|flight] [--audit-out FILE]
 //
@@ -57,28 +57,26 @@ namespace {
                "                 [--threads N] [--db-build-threads N] [--repeat R]\n"
                "                 [--host SUFFIX] [--quiet]\n"
                "                 [--follow-manifests N] [--db-compact-after N]\n"
-               "                 [--cache NAME=on|off] [--cache-mb NAME=N]\n"
+               "                 [--cache-mb NAME=N]\n"
                "                 [--metrics-out FILE] [--metrics-format json|prom]\n"
                "                 [--trace-out FILE] [--trace-mode full|flight]\n"
                "                 [--audit-out FILE]\n"
                "\n"
+               "  --threads N            analyses in flight at once (default: one per CPU)\n"
                "  --db-build-threads N   shard the chunk-database build into N jobs fanned\n"
-               "                         over the worker pool (0 = one shard per worker;\n"
+               "                         over the worker pool (0 = one shard per thread;\n"
                "                         1 = serial build; the index is identical either way)\n"
                "  --follow-manifests N   replay a live manifest: start from a half-length\n"
                "                         prefix and apply N metadata refreshes spread across\n"
                "                         the --repeat rounds via a LiveChunkDatabase\n"
                "  --db-compact-after N   delta chunks that trigger a live-database\n"
                "                         compaction (default 4096; 0 = every refresh)\n"
-               "  --cache NAME=on|off    toggle one shared cache tier, NAME in\n"
-               "                         {result, prefix, candidate}; results are\n"
-               "                         byte-identical with any subset enabled. Legacy\n"
-               "                         spellings --candidate-cache / --prefix-cache\n"
-               "                         (and their -mb forms) remain as aliases\n"
-               "  --cache-mb NAME=N      byte budget (MiB) for one tier (defaults:\n"
-               "                         result 64, prefix 32, candidate 64; 0 disables).\n"
-               "                         CSI_CACHE=NAME:off,... overrides from the\n"
-               "                         environment\n"
+               "  --cache-mb NAME=N      byte budget (MiB) for one shared cache tier, NAME\n"
+               "                         in {result, prefix, candidate} (defaults: result\n"
+               "                         64, prefix 32, candidate 64; 0 disables the tier).\n"
+               "                         CSI_CACHE=NAME:off,... disables tiers from the\n"
+               "                         environment. Results are byte-identical with any\n"
+               "                         subset of tiers enabled\n"
                "  --trace-out FILE       record a structured event trace; full mode writes\n"
                "                         Chrome trace-event JSON (Perfetto-loadable) at exit\n"
                "  --trace-mode full|flight\n"
@@ -137,12 +135,14 @@ int main(int argc, char** argv) {
   int repeat = 1;
   int follow_refreshes = 0;
   int db_compact_after = -1;
+  int db_build_threads = 0;
   bool quiet = false;
 
   tools::FlagParser parser;
   common.Register(&parser);
   parser.AddString("--dir", &dir);
   parser.AddInt("--threads", &threads);
+  parser.AddInt("--db-build-threads", &db_build_threads);
   parser.AddInt("--repeat", &repeat);
   parser.AddInt("--follow-manifests", &follow_refreshes);
   parser.AddInt("--db-compact-after", &db_compact_after);
@@ -183,6 +183,9 @@ int main(int argc, char** argv) {
   }
   if (db_compact_after < -1) {
     Usage("--db-compact-after must be >= 0");
+  }
+  if (db_build_threads < 0) {
+    Usage("--db-build-threads must be >= 0");
   }
 
   std::string manifest_text;
@@ -237,10 +240,8 @@ int main(int argc, char** argv) {
   }
   infer::BatchConfig batch;
   batch.threads = threads;
-  batch.db_build_shards = common.db_build_threads;
-  batch.caches.candidate.budget_mb = common.candidate_cache_budget_mb();
-  batch.caches.prefix.budget_mb = common.prefix_cache_budget_mb();
-  batch.caches.result.budget_mb = common.result_cache_budget_mb();
+  batch.db_build_shards = db_build_threads;
+  batch.caches = common.caches;
   if (!quiet) {
     batch.progress = [](size_t done, size_t total_traces) {
       std::fprintf(stderr, "  ...%zu/%zu traces\n", done, total_traces);
@@ -264,7 +265,7 @@ int main(int argc, char** argv) {
   }
   if (plan.has_value()) {
     infer::LiveChunkDatabase::Options live_options;
-    live_options.build_shards = common.db_build_threads;
+    live_options.build_shards = db_build_threads;
     if (db_compact_after >= 0) {
       live_options.compact_after_delta_chunks = static_cast<size_t>(db_compact_after);
     }
@@ -325,7 +326,7 @@ int main(int argc, char** argv) {
     }
   }
   const double sessions = static_cast<double>(columns.size()) * repeat;
-  std::printf("analyzed %.0f session(s) in %.3f s on %d worker(s): %.2f sessions/sec\n",
+  std::printf("analyzed %.0f session(s) in %.3f s on %d thread(s): %.2f sessions/sec\n",
               sessions, elapsed.count(), analyzer->threads(),
               sessions / std::max(elapsed.count(), 1e-9));
   if (live.has_value()) {
