@@ -76,7 +76,7 @@ int main() {
         variant.tweak(&config);
         const infer::InferenceEngine engine(
             infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
-        const auto inference = engine.Analyze(result.capture);
+        const auto inference = engine.Analyze(capture::PacketColumns::Build(result.capture));
         runs.push_back(testbed::ScoreInference(inference, result.downloads));
       }
     }

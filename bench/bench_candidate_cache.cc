@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "src/capture/packet_record.h"
+#include "src/capture/packet_columns.h"
 #include "src/common/rng.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/csi/candidate_cache.h"
@@ -33,7 +33,7 @@ namespace {
 // same popular content, which is exactly the signature-reuse the cache banks.
 struct Workload {
   media::Manifest manifest;
-  std::vector<capture::CaptureTrace> traces;
+  std::vector<capture::PacketColumns> traces;
 };
 
 const Workload& SqWorkload() {
@@ -42,7 +42,7 @@ const Workload& SqWorkload() {
     // Full-length asset (the deployment regime: enumeration cost scales with
     // manifest positions), short captures of its start.
     w->manifest = testbed::MakeAssetForDesign(infer::DesignType::kSQ, 1);
-    std::vector<capture::CaptureTrace> unique;
+    std::vector<capture::PacketColumns> unique;
     for (int i = 0; i < 2; ++i) {
       testbed::SessionConfig config;
       config.design = infer::DesignType::kSQ;
@@ -50,10 +50,11 @@ const Workload& SqWorkload() {
       config.downlink = nettrace::StableTrace("s", (4 + 2 * i) * kMbps);
       config.duration = 60 * kUsPerSec;
       config.seed = 100 + static_cast<uint64_t>(i);
-      unique.push_back(testbed::RunStreamingSession(config).capture);
+      unique.push_back(
+          capture::PacketColumns::Build(testbed::RunStreamingSession(config).capture));
     }
     for (int copy = 0; copy < 3; ++copy) {
-      for (const capture::CaptureTrace& trace : unique) {
+      for (const capture::PacketColumns& trace : unique) {
         w->traces.push_back(trace);
       }
     }
@@ -141,11 +142,11 @@ const std::vector<std::vector<infer::TrafficGroup>>& TraceGroups() {
   static const auto* groups = [] {
     auto* g = new std::vector<std::vector<infer::TrafficGroup>>;
     const Workload& w = SqWorkload();
-    for (const capture::CaptureTrace& trace : w.traces) {
-      std::vector<infer::Flow> flows = infer::ClassifyMediaFlows(trace, w.manifest.host);
+    for (const capture::PacketColumns& trace : w.traces) {
+      const std::vector<uint32_t> flows = infer::ClassifyMediaFlowIds(trace, w.manifest.host);
       std::vector<infer::TrafficGroup> split;
       if (!flows.empty()) {
-        split = infer::SplitIntoGroups(flows.front().packets, {});
+        split = infer::SplitIntoGroups(trace.flow(flows.front()), {});
       }
       g->push_back(std::move(split));
     }

@@ -59,7 +59,7 @@ ShapingOutcome RunShaped(const media::Manifest& manifest, const nettrace::Bandwi
   config.design = infer::DesignType::kSH;
   const infer::InferenceEngine engine(
       infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
-  const auto inference = engine.Analyze(result.capture);
+  const auto inference = engine.Analyze(capture::PacketColumns::Build(result.capture));
   ShapingOutcome outcome;
   outcome.track_fraction.assign(static_cast<size_t>(manifest.num_video_tracks()), 0.0);
   if (inference.sequences.empty()) {

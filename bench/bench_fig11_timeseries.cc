@@ -49,7 +49,7 @@ void RunCase(const char* title, const media::Manifest& manifest,
   config.design = infer::DesignType::kSH;
   const infer::InferenceEngine engine(
       infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
-  const auto inference = engine.Analyze(result.capture);
+  const auto inference = engine.Analyze(capture::PacketColumns::Build(result.capture));
   std::printf("%s\n", title);
   if (inference.sequences.empty()) {
     std::printf("  (no inferred sequence)\n\n");

@@ -17,7 +17,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/capture/packet_record.h"
+#include "src/capture/packet_columns.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/csi/live_database.h"
 #include "src/csi/prefix_cache.h"
@@ -31,14 +31,14 @@ namespace {
 // Duplicated captures model the replay stream the cache banks on.
 struct Workload {
   media::Manifest manifest;
-  std::vector<capture::CaptureTrace> traces;
+  std::vector<capture::PacketColumns> traces;
 };
 
 const Workload& SqWorkload() {
   static const Workload* workload = [] {
     auto* w = new Workload;
     w->manifest = testbed::MakeAssetForDesign(infer::DesignType::kSQ, 1);
-    std::vector<capture::CaptureTrace> unique;
+    std::vector<capture::PacketColumns> unique;
     for (int i = 0; i < 2; ++i) {
       testbed::SessionConfig config;
       config.design = infer::DesignType::kSQ;
@@ -46,10 +46,11 @@ const Workload& SqWorkload() {
       config.downlink = nettrace::StableTrace("s", (4 + 2 * i) * kMbps);
       config.duration = 60 * kUsPerSec;
       config.seed = 100 + static_cast<uint64_t>(i);
-      unique.push_back(testbed::RunStreamingSession(config).capture);
+      unique.push_back(
+          capture::PacketColumns::Build(testbed::RunStreamingSession(config).capture));
     }
     for (int copy = 0; copy < 3; ++copy) {
-      for (const capture::CaptureTrace& trace : unique) {
+      for (const capture::PacketColumns& trace : unique) {
         w->traces.push_back(trace);
       }
     }
@@ -80,17 +81,6 @@ void ReportPrefixCounters(benchmark::State& state, const infer::BatchAnalyzer& a
     state.counters["lookups/s"] = benchmark::Counter(
         static_cast<double>(stats.lookups()), benchmark::Counter::kIsRate);
   }
-}
-
-// The key itself: fingerprinting a full ~60 s capture. This is the fixed toll
-// every cached lookup pays, so it has to stay a small fraction of the
-// per-packet stages it replaces.
-void BM_FingerprintTrace(benchmark::State& state) {
-  const capture::CaptureTrace& trace = SqWorkload().traces.front();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(infer::FingerprintTrace(trace));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(trace.size()));
 }
 
 // Baseline: per-packet stages recomputed for every trace, every batch.
@@ -220,7 +210,6 @@ void BM_LiveReplayWarmPrefixCache(benchmark::State& state) { RunLiveReplay(state
 
 }  // namespace
 
-BENCHMARK(BM_FingerprintTrace);
 BENCHMARK(BM_SqBatchNoPrefixCache)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_SqBatchColdPrefixCache)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_SqBatchWarmPrefixCache)->Unit(benchmark::kMillisecond)->UseRealTime();

@@ -23,7 +23,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/capture/packet_record.h"
+#include "src/capture/packet_columns.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/csi/live_database.h"
 #include "src/csi/result_cache.h"
@@ -38,14 +38,14 @@ namespace {
 // edge; duplicated captures model the replay stream the cache banks on.
 struct Workload {
   media::Manifest manifest;
-  std::vector<capture::CaptureTrace> traces;
+  std::vector<capture::PacketColumns> traces;
 };
 
 const Workload& SqWorkload() {
   static const Workload* workload = [] {
     auto* w = new Workload;
     w->manifest = testbed::MakeAssetForDesign(infer::DesignType::kSQ, 1, 120 * kUsPerSec);
-    std::vector<capture::CaptureTrace> unique;
+    std::vector<capture::PacketColumns> unique;
     for (int i = 0; i < 2; ++i) {
       testbed::SessionConfig config;
       config.design = infer::DesignType::kSQ;
@@ -53,10 +53,11 @@ const Workload& SqWorkload() {
       config.downlink = nettrace::StableTrace("s", (4 + 2 * i) * kMbps);
       config.duration = 45 * kUsPerSec;
       config.seed = 100 + static_cast<uint64_t>(i);
-      unique.push_back(testbed::RunStreamingSession(config).capture);
+      unique.push_back(
+          capture::PacketColumns::Build(testbed::RunStreamingSession(config).capture));
     }
     for (int copy = 0; copy < 3; ++copy) {
-      for (const capture::CaptureTrace& trace : unique) {
+      for (const capture::PacketColumns& trace : unique) {
         w->traces.push_back(trace);
       }
     }

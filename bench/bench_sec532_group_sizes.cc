@@ -32,11 +32,12 @@ int main() {
       session.duration = duration;
       session.seed = ++seed;
       const auto result = RunStreamingSession(session);
-      const auto flows = infer::ClassifyMediaFlows(result.capture, "cdn.example");
+      const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
+      const auto flows = infer::ClassifyMediaFlowIds(columns, "cdn.example");
       if (flows.empty()) {
         continue;
       }
-      for (const auto& group : infer::SplitIntoGroups(flows[0].packets)) {
+      for (const auto& group : infer::SplitIntoGroups(columns.flow(flows[0]))) {
         ++histogram[std::min(group.num_requests(), 16)];
         ++total_groups;
         if (group.num_requests() <= 10) {

@@ -13,7 +13,7 @@
 
 #include <vector>
 
-#include "src/capture/packet_record.h"
+#include "src/capture/packet_columns.h"
 #include "src/common/tracing.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/testbed/experiment.h"
@@ -27,7 +27,7 @@ namespace {
 // BENCH_* tags.
 struct Workload {
   media::Manifest manifest;
-  std::vector<capture::CaptureTrace> traces;
+  std::vector<capture::PacketColumns> traces;
 };
 
 const Workload& SqWorkload() {
@@ -41,7 +41,8 @@ const Workload& SqWorkload() {
       config.downlink = nettrace::StableTrace("s", (3 + i) * kMbps);
       config.duration = 60 * kUsPerSec;
       config.seed = 200 + static_cast<uint64_t>(i);
-      w->traces.push_back(testbed::RunStreamingSession(config).capture);
+      w->traces.push_back(
+          capture::PacketColumns::Build(testbed::RunStreamingSession(config).capture));
     }
     return w;
   }();

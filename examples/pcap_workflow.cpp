@@ -44,7 +44,9 @@ int main(int argc, char** argv) {
 
   // ---- Analysis side (a standalone tool: only the pcap + the manifest) ----
   const media::Manifest loaded = media::Manifest::Parse(manifest_text);
-  const capture::CaptureTrace trace = capture::ReadPcap(pcap_path);
+  // The engine reads the capture as columns: transpose once after the read.
+  const capture::PacketColumns columns =
+      capture::PacketColumns::Build(capture::ReadPcap(pcap_path));
 
   // Pre-flight: is this encoding fingerprintable at the protocol's k?
   Rng feas_rng(1);
@@ -60,7 +62,7 @@ int main(int argc, char** argv) {
   config.design = infer::DesignType::kSH;
   const infer::InferenceEngine engine(
       infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&loaded)), config);
-  const auto inference = engine.Analyze(trace);
+  const auto inference = engine.Analyze(columns);
   std::printf("inference: %d candidate sequence(s)%s\n", static_cast<int>(inference.sequences.size()),
               inference.truncated ? " (truncated)" : "");
   if (inference.sequences.empty()) {

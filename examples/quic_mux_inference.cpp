@@ -33,17 +33,21 @@ int main() {
   std::printf("session: %zu packets, %zu chunk downloads (video+audio multiplexed)\n\n",
               result.capture.size(), result.downloads.size());
 
+  // The engine reads the capture as columns: one flow-major span per flow.
+  const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
+
   // Step 1.1 — flow classification by SNI.
-  const auto flows = infer::ClassifyMediaFlows(result.capture, manifest.host);
+  const auto flows = infer::ClassifyMediaFlowIds(columns, manifest.host);
   std::printf("step 1.1: %zu media flow(s); SNI=\"%s\"\n", flows.size(),
-              flows.empty() ? "?" : flows[0].sni.c_str());
+              flows.empty() ? "?" : columns.flow_sni(flows[0]).c_str());
   if (flows.empty()) {
     return 1;
   }
 
   // Step 1.2 — request detection (80-byte heuristic) and SP1/SP2 splitting.
-  const auto requests = infer::DetectRequests(flows[0].packets, /*quic=*/true);
-  const auto groups = infer::SplitIntoGroups(flows[0].packets);
+  const capture::FlowView media = columns.flow(flows[0]);
+  const auto requests = infer::DetectRequests(media, /*quic=*/true);
+  const auto groups = infer::SplitIntoGroups(media);
   std::printf("step 1.2: %zu uplink requests -> %zu traffic groups\n", requests.size(),
               groups.size());
   TextTable gt;
@@ -85,7 +89,7 @@ int main() {
   infer::InferenceConfig config;
   config.design = infer::DesignType::kSQ;
   const infer::InferenceEngine engine(db, config);
-  const auto inference = engine.Analyze(result.capture);
+  const auto inference = engine.Analyze(columns);
   const auto accuracy = testbed::ScoreInference(inference, result.downloads);
   std::printf("\nstep 2.2: %d candidate sequence(s); best accuracy %.1f%%, worst %.1f%%\n",
               accuracy.num_sequences, 100 * accuracy.best, 100 * accuracy.worst);

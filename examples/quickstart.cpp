@@ -48,7 +48,8 @@ int main() {
   config.design = infer::DesignType::kSH;
   const infer::InferenceEngine engine(
       infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
-  const infer::InferenceResult inference = engine.Analyze(result.capture);
+  const infer::InferenceResult inference =
+      engine.Analyze(capture::PacketColumns::Build(result.capture));
   const testbed::AccuracyResult accuracy =
       testbed::ScoreInference(inference, result.downloads);
   std::printf("inference: %d candidate sequence(s); accuracy best=%.1f%% worst=%.1f%%\n",

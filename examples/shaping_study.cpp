@@ -58,7 +58,7 @@ int main() {
       session.shaper = shaper;
 
       const auto result = RunStreamingSession(session);
-      const auto inference = engine.Analyze(result.capture);
+      const auto inference = engine.Analyze(capture::PacketColumns::Build(result.capture));
       if (inference.sequences.empty()) {
         continue;
       }

@@ -1,7 +1,6 @@
 #include "src/capture/packet_columns.h"
 
 #include <map>
-#include <numeric>
 #include <utility>
 
 #include "src/common/simd.h"
@@ -13,15 +12,15 @@ const std::string PacketColumns::empty_sni_;
 PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
   PacketColumns c;
   const size_t n = trace.size();
-  c.capture_flow_.resize(n);
+  // Flow id and SNI reference of each capture index; scratch for the scatter.
+  std::vector<uint32_t> capture_flow(n);
+  std::vector<int32_t> capture_sni(n, -1);
 
-  // Pass 1: intern flow keys in first-appearance order (the same order
-  // SplitFlows emits), count packets per flow, record first non-empty SNIs,
-  // and intern the distinct SNI strings.
+  // Pass 1: intern flow keys in first-appearance order, count packets per
+  // flow, record first non-empty SNIs, and intern the distinct SNI strings.
   std::map<FlowKey, uint32_t> flow_ids;
   std::map<std::string, int32_t> sni_ids;
   std::vector<uint32_t> counts;
-  std::vector<int32_t> capture_sni(n, -1);
   for (size_t i = 0; i < n; ++i) {
     const PacketRecord& r = trace[i];
     const auto [it, inserted] = flow_ids.try_emplace(
@@ -32,7 +31,7 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
       counts.push_back(0);
     }
     const uint32_t f = it->second;
-    c.capture_flow_[i] = f;
+    capture_flow[i] = f;
     ++counts[f];
     if (!r.sni.empty()) {
       if (c.flow_snis_[f].empty()) {
@@ -53,21 +52,12 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
     c.flow_begin_[f + 1] = c.flow_begin_[f] + counts[f];
   }
 
-  // Scatter map: flow-major slot of each capture index. When every flow's
-  // packets are already contiguous, the runs appear in first-appearance (= id)
-  // order, so the permutation is the identity and no cursors are needed.
-  c.capture_slot_.resize(n);
-  if (simd::CountRuns(c.capture_flow_.data(), n) == flows) {
-    std::iota(c.capture_slot_.begin(), c.capture_slot_.end(), 0u);
-  } else {
-    std::vector<size_t> cursor(c.flow_begin_.begin(),
-                               c.flow_begin_.begin() + flows);
-    for (size_t i = 0; i < n; ++i) {
-      c.capture_slot_[i] = static_cast<uint32_t>(cursor[c.capture_flow_[i]]++);
-    }
-  }
-
-  // Pass 2: scatter the scalar fields into the flow-major columns.
+  // Pass 2: scatter the scalar fields into the flow-major columns. When every
+  // flow's packets are already contiguous, the runs appear in
+  // first-appearance (= id) order, so capture index i is slot i and no
+  // cursors are needed.
+  const bool contiguous = simd::CountRuns(capture_flow.data(), n) == flows;
+  std::vector<size_t> cursor(c.flow_begin_.begin(), c.flow_begin_.begin() + flows);
   c.ts_.resize(n);
   c.payload_.resize(n);
   c.wire_.resize(n);
@@ -78,7 +68,7 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
   c.sni_ref_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const PacketRecord& r = trace[i];
-    const uint32_t slot = c.capture_slot_[i];
+    const size_t slot = contiguous ? i : cursor[capture_flow[i]]++;
     c.ts_[slot] = r.timestamp;
     c.payload_[slot] = r.payload;
     c.wire_[slot] = r.wire_size;
@@ -89,8 +79,7 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
     c.sni_ref_[slot] = capture_sni[i];
   }
 
-  // Per-flow downlink totals straight off the columns (matches the sum
-  // SplitFlows accumulated while copying packets).
+  // Per-flow downlink totals straight off the columns.
   c.flow_downlink_.resize(flows);
   for (size_t f = 0; f < flows; ++f) {
     const size_t b = c.flow_begin_[f];

@@ -1,32 +1,31 @@
-// Columnar (structure-of-arrays) view of a capture trace.
+// Columnar (structure-of-arrays) view of a capture trace: the one packet
+// layout the inference engine reads.
 //
 // A `CaptureTrace` stores one ~88-byte `PacketRecord` struct (plus an
 // `std::string sni` that is empty for all but the rare ClientHello) per
-// packet. The cold inference path — classify, split, request detection, size
-// estimation, fingerprinting — only ever streams a few scalar fields at a
-// time, so `PacketColumns` transposes the trace once into parallel flat
-// columns that the SIMD kernels in src/common/simd.h can scan directly:
+// packet. The per-packet inference stages — classify, split, request
+// detection, size estimation, fingerprinting — only ever stream a few scalar
+// fields at a time, so `PacketColumns` transposes the trace once into
+// parallel flat columns that the SIMD kernels in src/common/simd.h can scan
+// directly:
 //
 //   - int64 timestamp / payload / wire-size columns,
 //   - uint64 tcp-seq / tcp-ack / quic-packet-number columns,
 //   - a uint8 direction column holding exactly 0 or 1 (1 = client→server),
 //   - a small-int SNI reference column pointing into a side table of the few
-//     distinct SNI strings (satellite: SNIs are interned once per trace, not
-//     copied per packet),
+//     distinct SNI strings (interned once per trace, not copied per packet),
 //   - a per-flow side table (5-tuple key, first non-empty SNI, downlink byte
-//     total, column span) built from the same single interning pass that
-//     `SplitFlows` used to spend materializing per-flow packet vectors.
+//     total, column span) built by the same single interning pass.
 //
 // Storage is *flow-major*: each flow's packets occupy one contiguous span
 // `[flow_begin(f), flow_end(f))` in within-flow capture order, and flow ids
-// follow first-appearance order — exactly the flow ordering `SplitFlows`
-// produces. A `FlowView` is a non-owning {columns, flow, span} triple that the
-// estimator/splitter stages consume with zero per-flow packet copies. The
-// original capture order is retained as an index pair (flow-of, slot-of) so
-// the prefix-cache fingerprint can replay the byte-exact AoS absorption order.
+// follow first-appearance order. A `FlowView` is a non-owning
+// {columns, flow, span} triple that the estimator/splitter stages consume with
+// zero per-flow packet copies. How flows interleaved in the capture is not
+// kept: no inference stage depends on it.
 //
 // `kPacketLayoutVersion` names this layout in `csi_build_info` so metrics and
-// traces identify SoA builds.
+// traces identify the build's column set.
 
 #ifndef CSI_SRC_CAPTURE_PACKET_COLUMNS_H_
 #define CSI_SRC_CAPTURE_PACKET_COLUMNS_H_
@@ -42,7 +41,7 @@ namespace csi::capture {
 
 // Reported by csi_build_info (see src/common/build_info.cc, which duplicates
 // the literal to keep csi_common independent of csi_capture).
-inline constexpr char kPacketLayoutVersion[] = "soa-v1";
+inline constexpr char kPacketLayoutVersion[] = "soa-v2";
 
 class PacketColumns;
 
@@ -108,12 +107,6 @@ class PacketColumns {
     return FlowView{this, f, flow_begin(f), flow_end(f)};
   }
 
-  // Capture-order maps (size packet_count()): capture index i landed in flow
-  // capture_flow()[i] at flow-major slot capture_slot()[i]. These let the
-  // trace fingerprint replay the original packet order over columns.
-  const uint32_t* capture_flow() const { return capture_flow_.data(); }
-  const uint32_t* capture_slot() const { return capture_slot_.data(); }
-
  private:
   std::vector<int64_t> ts_;
   std::vector<int64_t> payload_;
@@ -130,8 +123,6 @@ class PacketColumns {
   std::vector<size_t> flow_begin_;  // size flow_count() + 1
 
   std::vector<std::string> sni_table_;
-  std::vector<uint32_t> capture_flow_;
-  std::vector<uint32_t> capture_slot_;
 
   static const std::string empty_sni_;
 };

@@ -9,8 +9,9 @@ telemetry::Labels BuildInfoLabels() {
   return {
       {"candidate_cache_default", CsiCacheEnvDisables("candidate") ? "off" : "on"},
       // Mirrors capture::kPacketLayoutVersion (packet_columns.h); duplicated
-      // here so csi_common does not depend on csi_capture.
-      {"packet_layout", "soa-v1"},
+      // here so csi_common does not depend on csi_capture. packet_columns_test
+      // checks that the two agree.
+      {"packet_layout", "soa-v2"},
       {"prefix_cache_default", CsiCacheEnvDisables("prefix") ? "off" : "on"},
       {"result_cache_default", CsiCacheEnvDisables("result") ? "off" : "on"},
       {"simd",

@@ -51,7 +51,11 @@ std::string JsonLabels(const Labels& labels) {
     if (i > 0) {
       out += ",";
     }
-    out += "\"" + JsonEscape(labels[i].first) + "\":\"" + JsonEscape(labels[i].second) + "\"";
+    out += '"';
+    out += JsonEscape(labels[i].first);
+    out += "\":\"";
+    out += JsonEscape(labels[i].second);
+    out += '"';
   }
   out += "}";
   return out;

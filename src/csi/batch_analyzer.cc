@@ -67,11 +67,11 @@ BatchAnalyzer::BatchAnalyzer(DbSnapshot snapshot, InferenceConfig config, BatchC
       pool_(ResolveThreads(batch_.threads) - 1),
       engine_(MakeEngine(std::move(snapshot), std::move(config), batch_)) {}
 
-std::vector<InferenceResult> BatchAnalyzer::RunBatch(
-    size_t total,
-    const std::function<InferenceResult(size_t index, InferenceAudit* audit)>& analyze_one,
+std::vector<InferenceResult> BatchAnalyzer::AnalyzeAll(
+    const std::vector<const capture::PacketColumns*>& columns,
     std::vector<double>* trace_seconds, std::vector<std::string>* trace_errors,
     std::vector<InferenceAudit>* audits) {
+  const size_t total = columns.size();
   std::vector<InferenceResult> results(total);
   if (trace_seconds != nullptr) {
     trace_seconds->assign(total, 0.0);
@@ -97,7 +97,10 @@ std::vector<InferenceResult> BatchAnalyzer::RunBatch(
     try {
       InferenceAudit* const audit =
           audits != nullptr ? &(*audits)[static_cast<size_t>(i)] : nullptr;
-      results[static_cast<size_t>(i)] = analyze_one(static_cast<size_t>(i), audit);
+      const capture::PacketColumns& one = *columns[static_cast<size_t>(i)];
+      results[static_cast<size_t>(i)] = batch_.analyze_override
+                                            ? batch_.analyze_override(one)
+                                            : engine_.Analyze(one, {}, audit);
     } catch (const std::exception& e) {
       if (trace_errors != nullptr) {
         (*trace_errors)[static_cast<size_t>(i)] = e.what();
@@ -130,43 +133,6 @@ std::vector<InferenceResult> BatchAnalyzer::RunBatch(
     }
   });
   return results;
-}
-
-std::vector<InferenceResult> BatchAnalyzer::AnalyzeAll(
-    const std::vector<const capture::CaptureTrace*>& traces,
-    std::vector<double>* trace_seconds, std::vector<std::string>* trace_errors,
-    std::vector<InferenceAudit>* audits) {
-  return RunBatch(
-      traces.size(),
-      [&](size_t i, InferenceAudit* audit) {
-        const capture::CaptureTrace& trace = *traces[i];
-        return batch_.analyze_override ? batch_.analyze_override(trace)
-                                       : engine_.Analyze(trace, {}, audit);
-      },
-      trace_seconds, trace_errors, audits);
-}
-
-std::vector<InferenceResult> BatchAnalyzer::AnalyzeAll(
-    const std::vector<capture::CaptureTrace>& traces, std::vector<double>* trace_seconds,
-    std::vector<std::string>* trace_errors, std::vector<InferenceAudit>* audits) {
-  std::vector<const capture::CaptureTrace*> pointers;
-  pointers.reserve(traces.size());
-  for (const capture::CaptureTrace& trace : traces) {
-    pointers.push_back(&trace);
-  }
-  return AnalyzeAll(pointers, trace_seconds, trace_errors, audits);
-}
-
-std::vector<InferenceResult> BatchAnalyzer::AnalyzeAll(
-    const std::vector<const capture::PacketColumns*>& columns,
-    std::vector<double>* trace_seconds, std::vector<std::string>* trace_errors,
-    std::vector<InferenceAudit>* audits) {
-  return RunBatch(
-      columns.size(),
-      [&](size_t i, InferenceAudit* audit) {
-        return engine_.Analyze(*columns[i], {}, audit);
-      },
-      trace_seconds, trace_errors, audits);
 }
 
 std::vector<InferenceResult> BatchAnalyzer::AnalyzeAll(

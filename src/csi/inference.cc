@@ -130,36 +130,42 @@ void InferenceEngine::MergePhantomSplits(std::vector<EstimatedExchange>* exchang
   }
 }
 
-AnalysisPrefix InferenceEngine::ComputePrefixAoS(const capture::CaptureTrace& trace) const {
+AnalysisPrefix ComputeAnalysisPrefix(const capture::PacketColumns& columns,
+                                     DesignType design, const std::string& host_suffix,
+                                     const SplitterConfig& splitter) {
   AnalysisPrefix prefix;
-  std::vector<Flow> flows;
+  std::vector<uint32_t> media;
   {
     CSI_SPAN("flow_classify");
     CSI_TRACE_SPAN_ARGS("flow_classify", "stage",
-                        {"packets", static_cast<int64_t>(trace.size())});
-    flows = ClassifyMediaFlows(trace, config_.host_suffix);
+                        {"packets", static_cast<int64_t>(columns.packet_count())});
+    media = ClassifyMediaFlowIds(columns, host_suffix);
   }
-  prefix.media_flows = static_cast<int>(flows.size());
-  if (flows.empty()) {
+  prefix.media_flows = static_cast<int>(media.size());
+  if (media.empty()) {
     return prefix;
   }
   // The player streams over one connection; if several media flows exist
-  // (e.g. probes), analyze the one carrying the bulk of the download.
-  auto main_flow = std::max_element(
-      flows.begin(), flows.end(),
-      [](const Flow& a, const Flow& b) { return a.downlink_bytes < b.downlink_bytes; });
+  // (e.g. probes), analyze the one carrying the bulk of the download: the
+  // first flow, in first-appearance order, with the largest downlink total.
+  uint32_t main_flow = media.front();
+  for (const uint32_t f : media) {
+    if (columns.flow_downlink_bytes(f) > columns.flow_downlink_bytes(main_flow)) {
+      main_flow = f;
+    }
+  }
+  const capture::FlowView view = columns.flow(main_flow);
 
-  if (config_.design == DesignType::kSQ) {
+  if (design == DesignType::kSQ) {
     CSI_SPAN("traffic_split");
     CSI_TRACE_SPAN_ARGS("traffic_split", "stage",
-                        {"packets", static_cast<int64_t>(main_flow->packets.size())});
-    prefix.groups = SplitIntoGroups(main_flow->packets, config_.splitter);
+                        {"packets", static_cast<int64_t>(view.size())});
+    prefix.groups = SplitIntoGroups(view, splitter);
   } else {
     CSI_SPAN("size_estimate");
     CSI_TRACE_SPAN_ARGS("size_estimate", "stage",
-                        {"packets", static_cast<int64_t>(main_flow->packets.size())});
-    for (const EstimatedExchange& ex :
-         EstimateExchanges(main_flow->packets, IsQuic(config_.design))) {
+                        {"packets", static_cast<int64_t>(view.size())});
+    for (const EstimatedExchange& ex : EstimateExchanges(view, IsQuic(design))) {
       if (ex.carries_sni) {
         // Handshake exchange (ClientHello / QUIC Initial): the data in its
         // window is the server's handshake flight, not a media object.
@@ -174,75 +180,12 @@ AnalysisPrefix InferenceEngine::ComputePrefixAoS(const capture::CaptureTrace& tr
   return prefix;
 }
 
-AnalysisPrefix InferenceEngine::ComputePrefixColumns(
-    const capture::PacketColumns& columns) const {
-  AnalysisPrefix prefix;
-  std::vector<uint32_t> media;
-  {
-    CSI_SPAN("flow_classify");
-    CSI_TRACE_SPAN_ARGS("flow_classify", "stage",
-                        {"packets", static_cast<int64_t>(columns.packet_count())});
-    media = ClassifyMediaFlowIds(columns, config_.host_suffix);
-  }
-  prefix.media_flows = static_cast<int>(media.size());
-  if (media.empty()) {
-    return prefix;
-  }
-  // First-max over the per-flow downlink totals: media ids ascend in
-  // first-appearance order, so this picks the same flow max_element picks on
-  // the AoS flow vector.
-  uint32_t main_flow = media.front();
-  for (const uint32_t f : media) {
-    if (columns.flow_downlink_bytes(f) > columns.flow_downlink_bytes(main_flow)) {
-      main_flow = f;
-    }
-  }
-  const capture::FlowView view = columns.flow(main_flow);
-
-  if (config_.design == DesignType::kSQ) {
-    CSI_SPAN("traffic_split");
-    CSI_TRACE_SPAN_ARGS("traffic_split", "stage",
-                        {"packets", static_cast<int64_t>(view.size())});
-    prefix.groups = SplitIntoGroups(view, config_.splitter);
-  } else {
-    CSI_SPAN("size_estimate");
-    CSI_TRACE_SPAN_ARGS("size_estimate", "stage",
-                        {"packets", static_cast<int64_t>(view.size())});
-    for (const EstimatedExchange& ex :
-         EstimateExchanges(view, IsQuic(config_.design))) {
-      if (ex.carries_sni) {
-        // Handshake exchange (ClientHello / QUIC Initial): the data in its
-        // window is the server's handshake flight, not a media object.
-        continue;
-      }
-      prefix.exchanges.push_back(ex);
-    }
-    // Merge repair stays OUT of the prefix (see ComputePrefixAoS).
-  }
-  return prefix;
-}
-
-InferenceResult InferenceEngine::Analyze(const capture::CaptureTrace& trace,
-                                         const DisplayConstraints& display,
-                                         InferenceAudit* audit) const {
-  return AnalyzeImpl(&trace, nullptr, display, audit);
-}
-
 InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
                                          const DisplayConstraints& display,
                                          InferenceAudit* audit) const {
-  return AnalyzeImpl(nullptr, &columns, display, audit);
-}
-
-InferenceResult InferenceEngine::AnalyzeImpl(const capture::CaptureTrace* trace,
-                                             const capture::PacketColumns* columns,
-                                             const DisplayConstraints& display,
-                                             InferenceAudit* audit) const {
-  const size_t packet_count =
-      trace != nullptr ? trace->size() : columns->packet_count();
   CSI_SPAN("analyze");
   CSI_TRACE_SPAN_ARGS("analyze", "stage",
-                      {"packets", static_cast<int64_t>(packet_count)});
+                      {"packets", static_cast<int64_t>(columns.packet_count())});
   CSI_COUNTER_INC("csi_analyze_calls_total");
 
   AnalysisPrefixCache* const prefix_cache =
@@ -255,13 +198,10 @@ InferenceResult InferenceEngine::AnalyzeImpl(const capture::CaptureTrace* trace,
       config_.caches.result != nullptr && !ResultCache::EnvForcesOff() && display.empty()
           ? config_.caches.result.get()
           : nullptr;
-  // One fingerprint pass feeds both the result- and prefix-tier keys. The
-  // two flavors produce the same digest for the same capture, so entries are
-  // shared across AoS and columnar callers.
+  // One fingerprint pass feeds both the result- and prefix-tier keys.
   TraceFingerprint fingerprint;
   if (result_cache != nullptr || prefix_cache != nullptr) {
-    fingerprint = columns != nullptr ? FingerprintColumns(*columns)
-                                     : FingerprintTrace(*trace);
+    fingerprint = FingerprintColumns(columns);
   }
   ResultCache::Query result_query;
   if (result_cache != nullptr) {
@@ -308,25 +248,8 @@ InferenceResult InferenceEngine::AnalyzeImpl(const capture::CaptureTrace* trace,
     prefix = prefix_cache->Lookup(prefix_query);
   }
   if (prefix == nullptr) {
-    std::shared_ptr<AnalysisPrefix> computed;
-    if (columns != nullptr) {
-      computed = std::make_shared<AnalysisPrefix>(ComputePrefixColumns(*columns));
-    } else if (config_.use_columnar) {
-      // Transpose lazily — only when the prefix actually has to be
-      // recomputed — so warm cache hits never pay for a column build.
-      capture::PacketColumns built;
-      {
-        CSI_SPAN("column_build");
-        CSI_TRACE_SPAN_ARGS("column_build", "stage",
-                            {"packets", static_cast<int64_t>(trace->size())});
-        built = capture::PacketColumns::Build(*trace);
-      }
-      CSI_TRACE_INSTANT("column_layout", "stage",
-                        {"flows", static_cast<int64_t>(built.flow_count())});
-      computed = std::make_shared<AnalysisPrefix>(ComputePrefixColumns(built));
-    } else {
-      computed = std::make_shared<AnalysisPrefix>(ComputePrefixAoS(*trace));
-    }
+    auto computed = std::make_shared<AnalysisPrefix>(ComputeAnalysisPrefix(
+        columns, config_.design, config_.host_suffix, config_.splitter));
     if (prefix_cache != nullptr) {
       prefix_cache->Insert(prefix_query, computed);
     }

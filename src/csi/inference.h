@@ -5,6 +5,10 @@
 // size estimation (Step 1.2; with SP1/SP2 traffic splitting for SQ), and the
 // two-level candidate/graph search (Step 2). Optionally applies
 // displayed-chunk constraints gathered from screen analysis (§4.2).
+//
+// The input is a capture's `PacketColumns` (capture/packet_columns.h): the
+// one packet layout the engine reads. Callers transpose a `CaptureTrace` once
+// with `PacketColumns::Build` and can analyze the columns any number of times.
 
 #ifndef CSI_SRC_CSI_INFERENCE_H_
 #define CSI_SRC_CSI_INFERENCE_H_
@@ -13,7 +17,6 @@
 #include <string>
 
 #include "src/capture/packet_columns.h"
-#include "src/capture/packet_record.h"
 #include "src/csi/audit.h"
 #include "src/csi/chunk_database.h"
 #include "src/csi/db_snapshot.h"
@@ -41,12 +44,6 @@ struct InferenceConfig {
   int max_sequences = 512;
   SplitterConfig splitter;
   int max_candidates_per_group = 5000;
-  // Run the per-packet cold stages over the columnar (SoA) capture layout
-  // with the SIMD column kernels. Output is byte-identical either way (the
-  // cold-path differential test locks this in), so the knob is deliberately
-  // excluded from the prefix/result cache contexts — cached entries are
-  // interchangeable between layouts. Off = the legacy AoS reference path.
-  bool use_columnar = true;
   // Ablation switches (see bench_ablation_robustness).
   bool enable_wildcards = true;
   bool enable_merge_repair = true;
@@ -57,12 +54,12 @@ struct InferenceConfig {
   std::vector<Bytes> other_object_sizes;
   // The shared cache tiers, in pipeline order from outermost to innermost:
   //  * result (result_cache.h) memoizes whole InferenceResults keyed on
-  //    (trace fingerprint, config context, database lineage) — a hit skips
+  //    (columns fingerprint, config context, database lineage) — a hit skips
   //    classification, splitting, enumeration and the sequence search
   //    outright; calls with display constraints bypass it.
   //  * prefix (prefix_cache.h) is consulted before the per-packet stages
   //    (flow classification, size estimation, traffic splitting). Keyed on a
-  //    trace fingerprint + interned config context, and snapshot-independent:
+  //    columns fingerprint + interned config context, and snapshot-independent:
   //    entries stay valid across UpdateSnapshot / LiveChunkDatabase publishes.
   //  * candidate (candidate_cache.h) memoizes group candidates for the SQ
   //    enumeration.
@@ -78,6 +75,14 @@ struct InferenceConfig {
   Caches caches;
 };
 
+// The snapshot-independent front of Analyze: flow classification plus — for
+// the dominant media flow — SP1/SP2 traffic splitting (SQ) or SNI-filtered
+// per-exchange size estimation (pre-merge-repair). A pure function of
+// (columns, design, host_suffix, splitter); what the prefix cache memoizes.
+AnalysisPrefix ComputeAnalysisPrefix(const capture::PacketColumns& columns,
+                                     DesignType design, const std::string& host_suffix,
+                                     const SplitterConfig& splitter);
+
 class InferenceEngine {
  public:
   // The engine queries `snapshot` — an immutable, epoch-tagged database
@@ -85,21 +90,10 @@ class InferenceEngine {
   // fills config defaults (host suffix, manifest object size).
   InferenceEngine(DbSnapshot snapshot, InferenceConfig config);
 
-  // Runs the inference on a capture. `display` optionally carries
+  // Runs the inference on a capture's columns. `display` optionally carries
   // (index -> track) constraints from screen analysis. `audit`, when
   // non-null, is filled with the per-trace explanation record (see audit.h);
   // collecting it never changes the result.
-  InferenceResult Analyze(const capture::CaptureTrace& trace,
-                          const DisplayConstraints& display = {},
-                          InferenceAudit* audit = nullptr) const;
-
-  // Columnar entry point: analyzes a pre-built PacketColumns (see
-  // capture/packet_columns.h) without ever touching an AoS trace — the
-  // fingerprint mixes over the columns and the cold stages consume FlowViews.
-  // Byte-identical to Analyze on the trace the columns were built from;
-  // callers that analyze the same capture repeatedly (csi_batch --repeat,
-  // --follow-manifests) build the columns once and skip the per-call
-  // transpose entirely.
   InferenceResult Analyze(const capture::PacketColumns& columns,
                           const DisplayConstraints& display = {},
                           InferenceAudit* audit = nullptr) const;
@@ -115,24 +109,6 @@ class InferenceEngine {
   const InferenceConfig& config() const { return config_; }
 
  private:
-  // Shared body of both Analyze overloads: exactly one of trace/columns is
-  // non-null. The fingerprint and (on a prefix-cache miss) the cold stages
-  // run off whichever representation the caller provided; the trace flavor
-  // transposes to columns lazily — only when the prefix actually has to be
-  // recomputed — so warm cache hits never pay for a column build.
-  InferenceResult AnalyzeImpl(const capture::CaptureTrace* trace,
-                              const capture::PacketColumns* columns,
-                              const DisplayConstraints& display,
-                              InferenceAudit* audit) const;
-  // The snapshot-independent front of Analyze: flow classification plus — for
-  // the dominant media flow — SP1/SP2 traffic splitting (SQ) or SNI-filtered
-  // per-exchange size estimation (pre-merge-repair). A pure function of
-  // (capture, design, host_suffix, splitter); what the prefix cache memoizes.
-  // Two byte-identical implementations: the legacy AoS walk (the differential
-  // reference, reachable via use_columnar = false) and the columnar one.
-  AnalysisPrefix ComputePrefixAoS(const capture::CaptureTrace& trace) const;
-  AnalysisPrefix ComputePrefixColumns(
-      const capture::PacketColumns& columns) const;
   // True if `estimate` satisfies Property (1) for some video chunk, audio
   // chunk, or known non-media object.
   bool MatchesSomething(Bytes estimate, double k) const;

@@ -30,9 +30,7 @@ inline uint64_t MixStep(uint64_t h, uint64_t v) {
 // latched in a function-local static and cannot be flipped after first use).
 std::atomic<bool> g_force_env_off{false};
 
-// Accumulates the two mixes over the observer-visible field stream. The AoS
-// and columnar fingerprints both feed packets through AbsorbPacket in capture
-// order, so they cannot drift apart field-by-field.
+// Accumulates the two mixes over the fingerprinted field stream.
 struct Mixer {
   uint64_t lo = kFnvOffset;
   uint64_t hi = 0x9AE16A3B2F90404Full;  // arbitrary odd seed, distinct from lo
@@ -42,26 +40,11 @@ struct Mixer {
     hi = MixStep(hi, v);
   }
 
-  void AbsorbPacket(TimeUs timestamp, const capture::FlowKey& key,
-                    bool from_client, Bytes payload, Bytes wire_size,
-                    uint64_t tcp_seq, uint64_t tcp_ack,
-                    uint64_t quic_packet_number, const std::string& sni) {
-    Absorb(static_cast<uint64_t>(timestamp));
-    // Pack the small fields into one word so short traces still stir both
-    // accumulators per packet instead of feeding runs of near-zero words.
-    Absorb((static_cast<uint64_t>(key.client_port) << 48) |
-           (static_cast<uint64_t>(key.server_port) << 32) |
-           (static_cast<uint64_t>(static_cast<uint8_t>(key.transport)) << 8) |
-           static_cast<uint64_t>(from_client ? 1 : 0));
-    Absorb((static_cast<uint64_t>(key.client_ip) << 32) |
-           static_cast<uint64_t>(key.server_ip));
-    Absorb(static_cast<uint64_t>(payload));
-    Absorb(static_cast<uint64_t>(wire_size));
-    Absorb(tcp_seq);
-    Absorb(tcp_ack);
-    Absorb(quic_packet_number);
-    Absorb(static_cast<uint64_t>(sni.size()));
-    for (const char c : sni) {
+  // Length-prefixed, so adjacent strings cannot run into each other. `low`
+  // rides in the length word's free bit.
+  void AbsorbString(const std::string& s, uint64_t low = 0) {
+    Absorb((static_cast<uint64_t>(s.size()) << 1) | low);
+    for (const char c : s) {
       Absorb(static_cast<uint64_t>(static_cast<uint8_t>(c)));
     }
   }
@@ -69,34 +52,36 @@ struct Mixer {
 
 }  // namespace
 
-TraceFingerprint FingerprintTrace(const capture::CaptureTrace& trace) {
-  Mixer mixer;
-  mixer.Absorb(static_cast<uint64_t>(trace.size()));
-  for (const capture::PacketRecord& p : trace) {
-    mixer.AbsorbPacket(p.timestamp, FlowKeyOf(p), p.from_client, p.payload,
-                       p.wire_size, p.tcp_seq, p.tcp_ack, p.quic_packet_number,
-                       p.sni);
-  }
-  return TraceFingerprint{mixer.lo, mixer.hi};
-}
-
 TraceFingerprint FingerprintColumns(const capture::PacketColumns& columns) {
   Mixer mixer;
   const size_t n = columns.packet_count();
   mixer.Absorb(static_cast<uint64_t>(n));
-  // Replay the original capture order through the (flow, slot) maps so the
-  // field stream matches FingerprintTrace exactly.
-  const uint32_t* flow_of = columns.capture_flow();
-  const uint32_t* slot_of = columns.capture_slot();
+  mixer.Absorb(static_cast<uint64_t>(columns.flow_count()));
+  for (uint32_t f = 0; f < columns.flow_count(); ++f) {
+    const capture::FlowKey& key = columns.flow_key(f);
+    mixer.Absorb((static_cast<uint64_t>(key.client_port) << 48) |
+                 (static_cast<uint64_t>(key.server_port) << 32) |
+                 static_cast<uint64_t>(static_cast<uint8_t>(key.transport)));
+    mixer.Absorb((static_cast<uint64_t>(key.client_ip) << 32) |
+                 static_cast<uint64_t>(key.server_ip));
+    mixer.AbsorbString(columns.flow_sni(f));
+    mixer.Absorb(static_cast<uint64_t>(columns.flow_end(f) - columns.flow_begin(f)));
+  }
+  const int64_t* ts = columns.timestamps();
+  const int64_t* payload = columns.payloads();
+  const int64_t* wire = columns.wire_sizes();
+  const uint64_t* seq = columns.tcp_seqs();
+  const uint64_t* ack = columns.tcp_acks();
+  const uint64_t* pn = columns.quic_packet_numbers();
+  const uint8_t* dir = columns.from_client();
   for (size_t i = 0; i < n; ++i) {
-    const uint32_t slot = slot_of[i];
-    mixer.AbsorbPacket(columns.timestamps()[slot],
-                       columns.flow_key(flow_of[i]),
-                       columns.from_client()[slot] != 0,
-                       columns.payloads()[slot], columns.wire_sizes()[slot],
-                       columns.tcp_seqs()[slot], columns.tcp_acks()[slot],
-                       columns.quic_packet_numbers()[slot],
-                       columns.sni_at(slot));
+    mixer.Absorb(static_cast<uint64_t>(ts[i]));
+    mixer.Absorb(static_cast<uint64_t>(payload[i]));
+    mixer.Absorb(static_cast<uint64_t>(wire[i]));
+    mixer.Absorb(seq[i]);
+    mixer.Absorb(ack[i]);
+    mixer.Absorb(pn[i]);
+    mixer.AbsorbString(columns.sni_at(i), dir[i]);
   }
   return TraceFingerprint{mixer.lo, mixer.hi};
 }
@@ -137,14 +122,6 @@ uint32_t AnalysisPrefixCache::InternContext(DesignType design, const std::string
   }
   contexts_.push_back(std::move(ctx));
   return static_cast<uint32_t>(contexts_.size());
-}
-
-AnalysisPrefixCache::Query AnalysisPrefixCache::MakeQuery(const capture::CaptureTrace& trace,
-                                                          uint32_t context) {
-  Query q;
-  q.fingerprint = FingerprintTrace(trace);
-  q.context = context;
-  return q;
 }
 
 AnalysisPrefixCache::Query AnalysisPrefixCache::MakeQuery(

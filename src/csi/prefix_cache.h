@@ -1,10 +1,10 @@
 // Cross-session cache of the snapshot-independent analysis prefix.
 //
-// PR 6 moved the SQ group enumeration behind the shared candidate cache, and
-// since then the per-packet stages — flow classification, request/size
-// estimation and traffic splitting — dominate end-to-end batch time on clean
-// captures. Those stages read only the capture bytes and a handful of config
-// knobs; they never touch the chunk database. A `--follow-manifests` replay
+// With the SQ group enumeration behind the shared candidate cache, the
+// per-packet stages — flow classification, request/size estimation and
+// traffic splitting — dominate end-to-end batch time on clean captures.
+// Those stages read only the capture bytes and a handful of config knobs;
+// they never touch the chunk database. A `--follow-manifests` replay
 // or an overlapping batch therefore recomputes byte-identical flows, groups
 // and exchanges for every repeat of every trace.
 //
@@ -14,14 +14,15 @@
 //   (128-bit trace fingerprint, interned classifier/splitter context)
 //
 // to the immutable `AnalysisPrefix` the per-packet stages produce. The
-// fingerprint hashes every observer-visible packet field (timing, addressing,
-// direction, sizes, sequence/packet numbers, SNI), so two captures share an
-// entry exactly when the inference input is bit-identical; the context
+// fingerprint hashes everything of a capture's `PacketColumns` the analysis
+// reads — the flow table (key, SNI, span length) and every flow-major column
+// (timing, direction, sizes, sequence/packet numbers, SNI) — so two captures
+// share an entry exactly when their columns are identical; the context
 // interns the knobs the prefix stages read (design, host suffix, splitter
 // thresholds) with full structural equality, never a lossy hash.
 //
 // Safety argument (simpler than the candidate cache's): the cached value is a
-// pure function of (capture bytes, context). No database state enters the
+// pure function of (columns, context). No database state enters the
 // prefix computation — merge repair, which probes the snapshot, deliberately
 // stays *outside* the prefix (the cache stores pre-repair exchanges for the
 // non-MUX designs) — so entries are valid across every snapshot, epoch and
@@ -47,17 +48,16 @@
 #include <vector>
 
 #include "src/capture/packet_columns.h"
-#include "src/capture/packet_record.h"
 #include "src/csi/cache_common.h"
 #include "src/csi/splitter.h"
 #include "src/csi/types.h"
 
 namespace csi::infer {
 
-// Deterministic 128-bit digest of a capture trace. Two independent 64-bit
-// mixes over the same field stream: a single 64-bit FNV would make accidental
-// collisions plausible at deployment trace counts, 128 bits makes them
-// negligible. Pure integer arithmetic — identical on every platform.
+// Deterministic 128-bit digest of a capture's columns. Two independent
+// 64-bit mixes over the same field stream: a single 64-bit FNV would make
+// accidental collisions plausible at deployment trace counts, 128 bits makes
+// them negligible. Pure integer arithmetic — identical on every platform.
 struct TraceFingerprint {
   uint64_t lo = 0;
   uint64_t hi = 0;
@@ -65,13 +65,11 @@ struct TraceFingerprint {
   friend bool operator==(const TraceFingerprint&, const TraceFingerprint&) = default;
 };
 
-TraceFingerprint FingerprintTrace(const capture::CaptureTrace& trace);
-
-// Identical digest computed from the columnar layout: replays the original
-// capture order through the columns' (flow, slot) maps so the field stream —
-// and therefore the fingerprint — is bit-identical to FingerprintTrace over
-// the trace the columns were built from. Cached prefixes are interchangeable
-// between the AoS and SoA paths.
+// Absorbs the packet count, the flow table in id order (key, SNI, span
+// length) and then the flow-major columns in one sequential scan. That is
+// everything Analyze reads, so equal columns give equal prefixes and results.
+// How flows interleaved in the capture is not part of the digest: two
+// captures that differ only there analyze identically and share an entry.
 TraceFingerprint FingerprintColumns(const capture::PacketColumns& columns);
 
 // Immutable output of the snapshot-independent front of Analyze: flow
@@ -126,11 +124,8 @@ class AnalysisPrefixCache {
   uint32_t InternContext(DesignType design, const std::string& host_suffix,
                          const SplitterConfig& splitter);
 
-  // Fingerprints `trace` and assembles the key. O(packets), but pure
+  // Fingerprints `columns` and assembles the key. O(packets), but pure
   // arithmetic — far cheaper than the classify/split work a hit skips.
-  static Query MakeQuery(const capture::CaptureTrace& trace, uint32_t context);
-
-  // Columnar flavor: same key for the same capture (see FingerprintColumns).
   static Query MakeQuery(const capture::PacketColumns& columns,
                          uint32_t context);
 

@@ -205,7 +205,7 @@ class ResultCache {
   uint32_t InternContext(const Context& context);
 
   // Assembles a key from an already-computed fingerprint (the engine shares
-  // one FingerprintTrace pass with the prefix cache) and `db`'s lineage.
+  // one FingerprintColumns pass with the prefix cache) and `db`'s lineage.
   static Query MakeQuery(const TraceFingerprint& fingerprint, uint32_t context,
                          const DbSnapshot& db);
 

@@ -10,17 +10,48 @@
 namespace csi::infer {
 namespace {
 
-// The split algorithm itself, shared verbatim by the AoS and columnar entry
-// points so split decisions, telemetry counters and group construction cannot
-// drift apart. The flavors differ only in how they produced `requests` and
-// `downlink_times` and in how a group's downlink bytes are summed
-// (`estimate(start, end)`).
-template <typename EstimateFn>
-std::vector<TrafficGroup> SplitCore(std::vector<DetectedRequest> requests,
-                                    const std::vector<TimeUs>& downlink_times,
-                                    bool have_packets, TimeUs last_packet_time,
-                                    const SplitterConfig& config,
-                                    EstimateFn&& estimate) {
+// Per-thread scratch: indices from the SIMD downlink scan, the
+// effective-payload column, the gathered timestamps.
+struct SplitterScratch {
+  std::vector<uint32_t> indices;
+  std::vector<int64_t> eff;
+  std::vector<TimeUs> downlink_times;
+};
+
+SplitterScratch& Scratch() {
+  static thread_local SplitterScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+std::vector<TrafficGroup> SplitIntoGroups(const capture::FlowView& flow,
+                                          const SplitterConfig& config) {
+  const size_t n = flow.size();
+  const int64_t* ts = flow.timestamps();
+  const int64_t* payload = flow.payloads();
+  const uint8_t* dir = flow.from_client();
+  SplitterScratch& scratch = Scratch();
+
+  // Timestamps of downlink data packets (payload > header bytes, i.e.
+  // >= header + 1), for idle detection and the SP2 "no data in between"
+  // check, via the SIMD boundary scan.
+  scratch.indices.resize(n);
+  const size_t hits = simd::CollectIndices(
+      dir, 0, payload, net::kQuicHeaderBytes + 1, n, scratch.indices.data());
+  std::vector<TimeUs>& downlink_times = scratch.downlink_times;
+  downlink_times.resize(hits);
+  for (size_t h = 0; h < hits; ++h) {
+    downlink_times[h] = ts[scratch.indices[h]];
+  }
+
+  // Hoist the QUIC effective-payload column once; each group's byte total is
+  // then a single windowed SIMD sum.
+  scratch.eff.resize(n);
+  simd::MaskedQuicPayload(dir, payload, n, net::kQuicHeaderBytes,
+                          scratch.eff.data());
+
+  std::vector<DetectedRequest> requests = DetectRequests(flow, /*quic=*/true);
   // The padded Initial (ClientHello) clears the request-size threshold but is
   // handshake, not HTTP: drop it so the first group starts at the first real
   // request and the server's handshake flight stays outside every group
@@ -92,78 +123,14 @@ std::vector<TrafficGroup> SplitCore(std::vector<DetectedRequest> requests,
                           requests.begin() + static_cast<long>(next));
     group.start_time = requests[first].time;
     group.end_time = next < requests.size() ? requests[next].time : -1;
-    group.estimated_total = estimate(group.start_time, group.end_time);
-    if (group.end_time < 0 && have_packets) {
-      group.end_time = last_packet_time;
+    group.estimated_total =
+        simd::SumInWindow(ts, scratch.eff.data(), n, group.start_time, group.end_time);
+    if (group.end_time < 0 && n > 0) {
+      group.end_time = ts[n - 1];
     }
     groups.push_back(std::move(group));
   }
   return groups;
-}
-
-// Per-thread scratch for the columnar entry point (indices from the SIMD
-// downlink scan, the effective-payload column, the gathered timestamps).
-struct SplitterScratch {
-  std::vector<uint32_t> indices;
-  std::vector<int64_t> eff;
-  std::vector<TimeUs> downlink_times;
-};
-
-SplitterScratch& Scratch() {
-  static thread_local SplitterScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
-std::vector<TrafficGroup> SplitIntoGroups(const std::vector<capture::PacketRecord>& flow,
-                                          const SplitterConfig& config) {
-  // Timestamps of downlink data packets, for idle detection and the SP2
-  // "no data in between" check.
-  std::vector<TimeUs> downlink_times;
-  for (const auto& p : flow) {
-    if (!p.from_client && p.payload > net::kQuicHeaderBytes) {
-      downlink_times.push_back(p.timestamp);
-    }
-  }
-  return SplitCore(
-      DetectRequests(flow, /*quic=*/true), downlink_times, !flow.empty(),
-      flow.empty() ? 0 : flow.back().timestamp, config,
-      [&flow](TimeUs begin, TimeUs end) {
-        return EstimateDownlinkBytes(flow, /*quic=*/true, begin, end);
-      });
-}
-
-std::vector<TrafficGroup> SplitIntoGroups(const capture::FlowView& flow,
-                                          const SplitterConfig& config) {
-  const size_t n = flow.size();
-  const int64_t* ts = flow.timestamps();
-  const int64_t* payload = flow.payloads();
-  const uint8_t* dir = flow.from_client();
-  SplitterScratch& scratch = Scratch();
-
-  // Downlink data packet timestamps via the SIMD boundary scan
-  // (payload > header bytes, i.e. >= header + 1).
-  scratch.indices.resize(n);
-  const size_t hits = simd::CollectIndices(
-      dir, 0, payload, net::kQuicHeaderBytes + 1, n, scratch.indices.data());
-  scratch.downlink_times.resize(hits);
-  for (size_t h = 0; h < hits; ++h) {
-    scratch.downlink_times[h] = ts[scratch.indices[h]];
-  }
-
-  // Hoist the QUIC effective-payload column once; each group's byte total is
-  // then a single windowed SIMD sum.
-  scratch.eff.resize(n);
-  simd::MaskedQuicPayload(dir, payload, n, net::kQuicHeaderBytes,
-                          scratch.eff.data());
-
-  return SplitCore(DetectRequests(flow, /*quic=*/true), scratch.downlink_times,
-                   n > 0, n > 0 ? ts[n - 1] : 0, config,
-                   [&](TimeUs begin, TimeUs end) {
-                     return simd::SumInWindow(ts, scratch.eff.data(), n, begin,
-                                              end);
-                   });
 }
 
 }  // namespace csi::infer

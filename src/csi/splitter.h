@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/capture/packet_columns.h"
-#include "src/capture/packet_record.h"
 #include "src/csi/size_estimator.h"
 #include "src/csi/types.h"
 
@@ -43,13 +42,8 @@ struct TrafficGroup {
   int num_requests() const { return static_cast<int>(requests.size()); }
 };
 
-// Splits a QUIC flow into traffic groups.
-std::vector<TrafficGroup> SplitIntoGroups(const std::vector<capture::PacketRecord>& flow,
-                                          const SplitterConfig& config = {});
-
-// Columnar overload: identical split decisions and group totals (byte-exact,
-// checked by the cold-path differential test) over a zero-copy FlowView; the
-// downlink-data scan and per-group byte sums run through the SIMD kernels.
+// Splits a QUIC flow into traffic groups. The downlink-data scan and the
+// per-group byte sums run through the SIMD column kernels.
 std::vector<TrafficGroup> SplitIntoGroups(const capture::FlowView& flow,
                                           const SplitterConfig& config = {});
 

@@ -1,6 +1,8 @@
 #include "src/media/ladder.h"
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 namespace csi::media {
 
@@ -23,7 +25,9 @@ Ladder GeometricLadder(int count, BitsPerSec lowest, BitsPerSec highest) {
   const double ratio = std::pow(highest / lowest, 1.0 / static_cast<double>(count - 1));
   double rate = lowest;
   for (int i = 0; i < count; ++i) {
-    ladder.push_back({"T" + std::to_string(i + 1), rate});
+    std::string name = "T";
+    name += std::to_string(i + 1);
+    ladder.push_back({std::move(name), rate});
     rate *= ratio;
   }
   return ladder;

@@ -34,8 +34,10 @@ EvalRun RunAndScore(const SessionConfig& session_config) {
       infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(session_config.manifest)),
       inference_config);
 
+  // The timed analysis includes transposing the capture into columns.
   const auto t0 = std::chrono::steady_clock::now();
-  const infer::InferenceResult plain = engine.Analyze(session.capture);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(session.capture);
+  const infer::InferenceResult plain = engine.Analyze(columns);
   const auto t1 = std::chrono::steady_clock::now();
   run.analysis_time_us =
       std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count();
@@ -45,7 +47,7 @@ EvalRun RunAndScore(const SessionConfig& session_config) {
   Rng ocr_rng(session_config.seed ^ 0x5eed);
   const infer::DisplayConstraints display = infer::SampleDisplayedChunks(
       session.displays, session.duration, infer::OcrConfig{}, ocr_rng);
-  const infer::InferenceResult constrained = engine.Analyze(session.capture, display);
+  const infer::InferenceResult constrained = engine.Analyze(columns, display);
   run.with_display = ScoreInference(constrained, session.downloads);
   return run;
 }

@@ -43,10 +43,10 @@ std::vector<testbed::SessionResult> MakeSessions(const media::Manifest& manifest
   return sessions;
 }
 
-std::vector<capture::CaptureTrace> TracesOf(const std::vector<testbed::SessionResult>& s) {
-  std::vector<capture::CaptureTrace> traces;
+std::vector<capture::PacketColumns> TracesOf(const std::vector<testbed::SessionResult>& s) {
+  std::vector<capture::PacketColumns> traces;
   for (const auto& session : s) {
-    traces.push_back(session.capture);
+    traces.push_back(capture::PacketColumns::Build(session.capture));
   }
   return traces;
 }
@@ -108,7 +108,7 @@ TEST(BatchAnalyzer, ThrowingTraceDoesNotPoisonSiblings) {
 
   infer::BatchConfig batch;
   batch.threads = 4;
-  batch.analyze_override = [&](const capture::CaptureTrace& trace) {
+  batch.analyze_override = [&](const capture::PacketColumns& trace) {
     if (&trace == &traces[poison]) {
       throw std::runtime_error("injected analyze failure");
     }
@@ -148,7 +148,7 @@ TEST(BatchAnalyzer, NonStdExceptionIsReportedAsUnknown) {
   config.design = DesignType::kCH;
   infer::BatchConfig batch;
   batch.threads = 2;
-  batch.analyze_override = [&](const capture::CaptureTrace& trace) -> infer::InferenceResult {
+  batch.analyze_override = [&](const capture::PacketColumns& trace) -> infer::InferenceResult {
     if (&trace == &traces[0]) {
       throw 42;  // not derived from std::exception
     }
@@ -204,14 +204,14 @@ TEST(BatchAnalyzer, EmptyBatchYieldsEmptyResults) {
   infer::InferenceConfig config;
   config.design = DesignType::kSH;
   infer::BatchAnalyzer analyzer(&manifest, config);
-  EXPECT_TRUE(analyzer.AnalyzeAll(std::vector<capture::CaptureTrace>{}).empty());
+  EXPECT_TRUE(analyzer.AnalyzeAll(std::vector<capture::PacketColumns>{}).empty());
 }
 
 // `threads` is the number of analyses in flight at once, counting the calling
 // thread that drives the fan-out: threads = 1 must run one analysis at a time.
 TEST(BatchAnalyzer, ThreadsBoundsConcurrentAnalyses) {
   const media::Manifest manifest = MakeAssetForDesign(DesignType::kCH, 1, 30 * kUsPerSec);
-  const std::vector<capture::CaptureTrace> traces(8);
+  const std::vector<capture::PacketColumns> traces(8);
   for (const int threads : {1, 2}) {
     std::atomic<int> in_flight{0};
     std::atomic<int> max_in_flight{0};
@@ -219,7 +219,7 @@ TEST(BatchAnalyzer, ThreadsBoundsConcurrentAnalyses) {
     config.design = DesignType::kCH;
     infer::BatchConfig batch;
     batch.threads = threads;
-    batch.analyze_override = [&](const capture::CaptureTrace&) {
+    batch.analyze_override = [&](const capture::PacketColumns&) {
       const int now = in_flight.fetch_add(1) + 1;
       int seen = max_in_flight.load();
       while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {

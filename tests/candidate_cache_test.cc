@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/capture/packet_columns.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/csi/batch_analyzer.h"
@@ -550,7 +551,7 @@ TEST(CandidateCacheBatch, SqBatchIdenticalWithCacheOnOffAndWarm) {
   using testbed::MakeAssetForDesign;
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest manifest = MakeAssetForDesign(DesignType::kSQ, 1, duration);
-  std::vector<capture::CaptureTrace> traces;
+  std::vector<capture::PacketColumns> traces;
   for (int i = 0; i < 3; ++i) {
     testbed::SessionConfig sc;
     sc.design = DesignType::kSQ;
@@ -558,7 +559,7 @@ TEST(CandidateCacheBatch, SqBatchIdenticalWithCacheOnOffAndWarm) {
     sc.downlink = nettrace::StableTrace("s", (4 + i) * kMbps);
     sc.duration = duration;
     sc.seed = 100 + static_cast<uint64_t>(i);
-    traces.push_back(testbed::RunStreamingSession(sc).capture);
+    traces.push_back(capture::PacketColumns::Build(testbed::RunStreamingSession(sc).capture));
   }
   // Duplicate the list: the second half re-analyzes the same captures, which
   // is the cross-trace amortization the cache exists for.

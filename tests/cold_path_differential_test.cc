@@ -1,25 +1,23 @@
-// End-to-end differential harness for the columnar cold path.
+// End-to-end differential harness for the per-packet front end.
 //
-// The tentpole claim of the SoA layout is byte-identity: for every design
-// (CH/SH/CQ/SQ), every seeded capture and every SIMD backend, an engine
-// running the columnar stages (use_columnar = true, the default) produces
-// exactly the InferenceResult of the legacy AoS walk (use_columnar = false,
-// kept as the differential reference). This suite locks that in at the
-// engine and batch level:
+// Production runs the per-packet stages (classify, request detection, size
+// estimation, traffic splitting) over PacketColumns with SIMD kernels. The
+// frozen array-of-structs oracle in tests/aos_oracle.h computes the same
+// analysis prefix the naive way. This suite locks the two together and the
+// end-to-end result to its golden digests:
 //
-//   1. Seeded sweep: testbed sessions across all four designs, AoS reference
-//      vs columnar engine under forced scalar and under every supported
-//      vector backend. CSI_TEST_SCHEDULES raises the sweep for the nightly
-//      deep-differential job.
+//   1. Seeded sweep: testbed sessions across all four designs; the oracle's
+//      prefix equals ComputeAnalysisPrefix over the columns under forced
+//      scalar and under every supported vector backend, and Analyze returns
+//      the same result on every backend. CSI_TEST_SCHEDULES raises the sweep
+//      for the nightly deep-differential job.
 //   2. Golden digests: the fixed instrumentation-invariance batch must hash
-//      to the same per-design constants as always — with the columnar path
-//      off, on, and on under each forced backend.
-//   3. Overload identity: Analyze(PacketColumns) == Analyze(trace) for the
-//      same capture, including through a shared prefix cache (cached entries
-//      are interchangeable between layouts by fingerprint construction).
-//   4. Batch identity: BatchAnalyzer::AnalyzeAll over pre-built columns
-//      equals the trace batch, for serial and threaded pools (the threaded
-//      run doubles as TSan coverage for concurrent read-only column access).
+//      to the same per-design constants as always, under each forced backend.
+//   3. Prefix-cache identity: a warm prefix-cache hit returns what a fresh
+//      computation returns.
+//   4. Batch identity: BatchAnalyzer::AnalyzeAll equals serial engine calls,
+//      for serial and threaded pools (the threaded run doubles as TSan
+//      coverage for concurrent read-only column access).
 
 #include <cstdint>
 #include <memory>
@@ -32,6 +30,7 @@
 #include "src/common/simd.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/testbed/experiment.h"
+#include "tests/aos_oracle.h"
 #include "tests/inference_digest.h"
 #include "tests/test_env.h"
 
@@ -82,14 +81,29 @@ capture::CaptureTrace MakeSession(const media::Manifest& manifest, DesignType de
   return testbed::RunStreamingSession(config).capture;
 }
 
-InferenceConfig EngineConfig(DesignType design, bool use_columnar) {
+InferenceConfig EngineConfig(DesignType design) {
   InferenceConfig config;
   config.design = design;
-  config.use_columnar = use_columnar;
   return config;
 }
 
-TEST(ColdPathDifferential, SeededSweepMatchesAosReferenceOnEveryBackend) {
+void ExpectSamePrefix(const AnalysisPrefix& want, const AnalysisPrefix& got) {
+  EXPECT_EQ(got.media_flows, want.media_flows);
+  EXPECT_EQ(got.exchanges, want.exchanges);
+  ASSERT_EQ(got.groups.size(), want.groups.size());
+  for (size_t g = 0; g < want.groups.size(); ++g) {
+    EXPECT_EQ(got.groups[g].start_time, want.groups[g].start_time) << "group " << g;
+    EXPECT_EQ(got.groups[g].end_time, want.groups[g].end_time) << "group " << g;
+    EXPECT_EQ(got.groups[g].estimated_total, want.groups[g].estimated_total) << "group " << g;
+    ASSERT_EQ(got.groups[g].requests.size(), want.groups[g].requests.size()) << "group " << g;
+    for (size_t r = 0; r < want.groups[g].requests.size(); ++r) {
+      EXPECT_EQ(got.groups[g].requests[r].time, want.groups[g].requests[r].time);
+      EXPECT_EQ(got.groups[g].requests[r].carries_sni, want.groups[g].requests[r].carries_sni);
+    }
+  }
+}
+
+TEST(ColdPathDifferential, SeededSweepMatchesAosOracleOnEveryBackend) {
   BackendGuard guard;
   const std::vector<simd::Backend> backends = AllSupportedBackends();
   // One testbed session per schedule, round-robin over the designs. The
@@ -103,64 +117,56 @@ TEST(ColdPathDifferential, SeededSweepMatchesAosReferenceOnEveryBackend) {
         testbed::MakeAssetForDesign(design, static_cast<int>(s % 3), duration);
     const capture::CaptureTrace trace = MakeSession(manifest, design, s, duration);
     const capture::PacketColumns columns = capture::PacketColumns::Build(trace);
+    const SplitterConfig splitter;
+    const AnalysisPrefix want =
+        oracle::ComputeAnalysisPrefix(trace, design, manifest.host, splitter);
+    ASSERT_GT(want.media_flows, 0) << "schedule " << s;
 
+    const InferenceEngine engine(
+        DbSnapshot(std::make_shared<const ChunkDatabase>(&manifest)), EngineConfig(design));
     ASSERT_TRUE(simd::ForceBackend(simd::Backend::kScalar));
-    const DbSnapshot snapshot(std::make_shared<const ChunkDatabase>(&manifest));
-    const InferenceEngine reference(snapshot, EngineConfig(design, false));
-    const uint64_t want = DigestOne(reference.Analyze(trace));
-
-    const InferenceEngine columnar(snapshot, EngineConfig(design, true));
+    const uint64_t want_result = DigestOne(engine.Analyze(columns));
     for (const simd::Backend backend : backends) {
       ASSERT_TRUE(simd::ForceBackend(backend));
-      EXPECT_EQ(DigestOne(columnar.Analyze(trace)), want)
-          << "schedule " << s << " backend " << simd::BackendName(backend);
-      EXPECT_EQ(DigestOne(columnar.Analyze(columns)), want)
-          << "schedule " << s << " backend " << simd::BackendName(backend)
-          << " (columns overload)";
+      SCOPED_TRACE("schedule " + std::to_string(s) + " backend " +
+                   simd::BackendName(backend));
+      ExpectSamePrefix(want,
+                       ComputeAnalysisPrefix(columns, design, manifest.host, splitter));
+      EXPECT_EQ(DigestOne(engine.Analyze(columns)), want_result);
     }
   }
 }
 
-TEST(ColdPathDifferential, GoldenDigestsHoldOnEveryLayoutAndBackend) {
+TEST(ColdPathDifferential, GoldenDigestsHoldOnEveryBackend) {
   BackendGuard guard;
   for (const DesignType design : kAllDesigns) {
     const uint64_t golden = testutil::GoldenBatchDigest(design);
-    // Legacy AoS reference path.
-    {
-      InferenceConfig config;
-      config.use_columnar = false;
-      EXPECT_EQ(testutil::DigestResults(testutil::AnalyzeFixedBatch(design, {}, config)),
-                golden)
-          << "AoS reference, design " << static_cast<int>(design);
-    }
-    // Columnar path under each forced backend.
     for (const simd::Backend backend : AllSupportedBackends()) {
       ASSERT_TRUE(simd::ForceBackend(backend));
       EXPECT_EQ(testutil::DigestResults(testutil::AnalyzeFixedBatch(design)), golden)
-          << "columnar, design " << static_cast<int>(design) << " backend "
+          << "design " << static_cast<int>(design) << " backend "
           << simd::BackendName(backend);
     }
   }
 }
 
-TEST(ColdPathDifferential, PrefixCacheEntriesInterchangeableBetweenLayouts) {
+TEST(ColdPathDifferential, PrefixCacheHitMatchesFreshComputation) {
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest manifest =
       testbed::MakeAssetForDesign(DesignType::kSQ, 0, duration);
   const capture::CaptureTrace trace = MakeSession(manifest, DesignType::kSQ, 3, duration);
-  const capture::PacketColumns columns = capture::PacketColumns::Build(trace);
 
-  InferenceConfig config = EngineConfig(DesignType::kSQ, true);
+  InferenceConfig config = EngineConfig(DesignType::kSQ);
   config.caches.prefix = std::make_shared<AnalysisPrefixCache>(8 * 1024 * 1024);
   const InferenceEngine engine(
       DbSnapshot(std::make_shared<const ChunkDatabase>(&manifest)), config);
 
-  // Warm the cache through the trace overload, then hit it through the
-  // columns overload: FingerprintColumns replays the same field stream, so
-  // the second call must be a hit with identical output.
-  const uint64_t want = DigestOne(engine.Analyze(trace));
+  // Warm the cache through one column build, then hit it through a second,
+  // independent build of the same capture: equal columns fingerprint alike,
+  // so the second call must be a hit with identical output.
+  const uint64_t want = DigestOne(engine.Analyze(capture::PacketColumns::Build(trace)));
   const auto before = config.caches.prefix->stats();
-  EXPECT_EQ(DigestOne(engine.Analyze(columns)), want);
+  EXPECT_EQ(DigestOne(engine.Analyze(capture::PacketColumns::Build(trace))), want);
   const auto after = config.caches.prefix->stats();
   // CSI_CACHE=prefix:off bypasses the tier: output must still match, but
   // there is no hit to count.
@@ -170,26 +176,27 @@ TEST(ColdPathDifferential, PrefixCacheEntriesInterchangeableBetweenLayouts) {
   }
 }
 
-TEST(ColdPathDifferential, BatchColumnsOverloadMatchesTraceBatch) {
+TEST(ColdPathDifferential, BatchMatchesSerialEngine) {
   const TimeUs duration = 60 * kUsPerSec;
   const media::Manifest manifest =
       testbed::MakeAssetForDesign(DesignType::kCQ, 0, duration);
-  std::vector<capture::CaptureTrace> traces;
   std::vector<capture::PacketColumns> columns;
   for (uint64_t s = 0; s < 4; ++s) {
-    traces.push_back(MakeSession(manifest, DesignType::kCQ, 20 + s, duration));
-    columns.push_back(capture::PacketColumns::Build(traces.back()));
+    columns.push_back(
+        capture::PacketColumns::Build(MakeSession(manifest, DesignType::kCQ, 20 + s, duration)));
   }
 
-  InferenceConfig config = EngineConfig(DesignType::kCQ, true);
-  uint64_t want = 0;
+  const InferenceConfig config = EngineConfig(DesignType::kCQ);
+  std::vector<InferenceResult> serial;
   {
-    BatchConfig batch;
-    batch.threads = 1;
-    BatchAnalyzer analyzer(&manifest, config, batch);
-    want = testutil::DigestResults(analyzer.AnalyzeAll(traces));
+    const InferenceEngine engine(
+        DbSnapshot(std::make_shared<const ChunkDatabase>(&manifest)), config);
+    for (const capture::PacketColumns& c : columns) {
+      serial.push_back(engine.Analyze(c));
+    }
   }
-  // Threaded columns batch: workers share the read-only PacketColumns (TSan
+  const uint64_t want = testutil::DigestResults(serial);
+  // Threaded batch: workers share the read-only PacketColumns (TSan
   // coverage) and every out-param slot must land by index.
   for (const int threads : {1, 4}) {
     BatchConfig batch;

@@ -13,15 +13,18 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/capture/packet_columns.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/testbed/experiment.h"
 
 namespace csi::testutil {
 
-inline std::vector<capture::CaptureTrace> MakeBatch(const media::Manifest& manifest,
-                                                    infer::DesignType design, int count,
-                                                    TimeUs duration) {
-  std::vector<capture::CaptureTrace> traces;
+// `count` deterministic synthetic sessions of `manifest`, each capture
+// transposed to the columns the analyzer reads.
+inline std::vector<capture::PacketColumns> MakeBatch(const media::Manifest& manifest,
+                                                     infer::DesignType design, int count,
+                                                     TimeUs duration) {
+  std::vector<capture::PacketColumns> traces;
   for (int i = 0; i < count; ++i) {
     testbed::SessionConfig config;
     config.design = design;
@@ -33,7 +36,7 @@ inline std::vector<capture::CaptureTrace> MakeBatch(const media::Manifest& manif
                                                     2 * kUsPerSec, rng);
     config.duration = duration;
     config.seed = 40 + static_cast<uint64_t>(i);
-    traces.push_back(RunStreamingSession(config).capture);
+    traces.push_back(capture::PacketColumns::Build(RunStreamingSession(config).capture));
   }
   return traces;
 }
@@ -99,11 +102,8 @@ inline uint64_t GoldenBatchDigest(infer::DesignType design) {
 
 // The fixed batch every invariance test analyzes: 4 deterministic synthetic
 // sessions of a 90 s single-asset manifest. `batch` lets cache/threading
-// tests vary the execution shape, and `config` lets layout/backend tests flip
-// engine knobs that must not change output (use_columnar, ablations left at
-// defaults) — the digest must not move for ANY such shape (output is
-// scheduling-, cache- and layout-independent by design; `config.design` is
-// overwritten with `design`).
+// tests vary the execution shape — the digest must not move for ANY such
+// shape (output is scheduling- and cache-independent by design).
 inline std::vector<infer::InferenceResult> AnalyzeFixedBatch(
     infer::DesignType design,
     infer::BatchConfig batch =
@@ -111,11 +111,11 @@ inline std::vector<infer::InferenceResult> AnalyzeFixedBatch(
           infer::BatchConfig b;
           b.threads = 4;
           return b;
-        }(),
-    infer::InferenceConfig config = {}) {
+        }()) {
   const TimeUs duration = 90 * kUsPerSec;
   const media::Manifest manifest = testbed::MakeAssetForDesign(design, 1, duration);
   const auto traces = MakeBatch(manifest, design, 4, duration);
+  infer::InferenceConfig config;
   config.design = design;
   infer::BatchAnalyzer analyzer(&manifest, config, batch);
   return analyzer.AnalyzeAll(traces);

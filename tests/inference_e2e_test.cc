@@ -39,7 +39,7 @@ E2e RunE2e(DesignType design, nettrace::BandwidthTrace trace, uint64_t seed,
   config.design = design;
   const infer::InferenceEngine engine(
       infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&out.manifest)), config);
-  out.inference = engine.Analyze(out.session.capture);
+  out.inference = engine.Analyze(capture::PacketColumns::Build(out.session.capture));
   out.accuracy = testbed::ScoreInference(out.inference, out.session.downloads);
   return out;
 }
@@ -86,11 +86,12 @@ TEST(InferenceE2e, DisplayedChunkInfoNeverHurts) {
     config.design = design;
     const infer::InferenceEngine engine(
         infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
-    const auto plain = engine.Analyze(session.capture);
+    const capture::PacketColumns columns = capture::PacketColumns::Build(session.capture);
+    const auto plain = engine.Analyze(columns);
     Rng ocr_rng(1);
     const auto display = infer::SampleDisplayedChunks(session.displays, s.duration,
                                                       infer::OcrConfig{}, ocr_rng);
-    const auto constrained = engine.Analyze(session.capture, display);
+    const auto constrained = engine.Analyze(columns, display);
     const auto acc_plain = testbed::ScoreInference(plain, session.downloads);
     const auto acc_display = testbed::ScoreInference(constrained, session.downloads);
     // Screen constraints only remove candidates inconsistent with what was
@@ -113,7 +114,7 @@ TEST(InferenceE2e, SurvivesPcapRoundTrip) {
   config.design = DesignType::kSH;
   const infer::InferenceEngine engine(
       infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&direct.manifest)), config);
-  const auto inference = engine.Analyze(round_tripped);
+  const auto inference = engine.Analyze(capture::PacketColumns::Build(round_tripped));
   const auto accuracy = testbed::ScoreInference(inference, direct.session.downloads);
   EXPECT_EQ(accuracy.best, direct.accuracy.best);
   EXPECT_EQ(accuracy.num_sequences, direct.accuracy.num_sequences);
@@ -134,7 +135,7 @@ TEST(InferenceE2e, LossyLinkStillAccurate) {
     config.design = design;
     const infer::InferenceEngine engine(
         infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
-    const auto inference = engine.Analyze(session.capture);
+    const auto inference = engine.Analyze(capture::PacketColumns::Build(session.capture));
     const auto accuracy = testbed::ScoreInference(inference, session.downloads);
     EXPECT_GT(accuracy.best, 0.95) << infer::DesignTypeName(design);
   }
@@ -180,7 +181,7 @@ TEST(InferenceE2e, EmptyCaptureYieldsNoSequences) {
   config.design = DesignType::kCH;
   const infer::InferenceEngine engine(
       infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
-  const auto result = engine.Analyze(capture::CaptureTrace{});
+  const auto result = engine.Analyze(capture::PacketColumns::Build(capture::CaptureTrace{}));
   EXPECT_TRUE(result.sequences.empty());
 }
 
@@ -212,7 +213,7 @@ TEST(InferenceE2e, ForeignTrafficIgnored) {
   config.host_suffix = "unrelated.example.org";
   const infer::InferenceEngine engine(
       infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&e2e.manifest)), config);
-  EXPECT_TRUE(engine.Analyze(e2e.session.capture).sequences.empty());
+  EXPECT_TRUE(engine.Analyze(capture::PacketColumns::Build(e2e.session.capture)).sequences.empty());
 }
 
 }  // namespace

@@ -1,23 +1,27 @@
 // Unit + property tests for the columnar capture layout and its SIMD kernels.
 //
-// Three layers are locked in here:
+// Four layers are locked in here:
 //   1. Builder identity: PacketColumns::Build reproduces exactly the flow
-//      order, per-flow packet order, SNI and downlink totals that SplitFlows
-//      computes — on hand-written edge cases (empty trace, single-packet
-//      flows, interleaved 5-tuples, SNI on a non-first packet) and on seeded
-//      random traces.
-//   2. Kernel identity: every cold-path column kernel returns bit-identical
-//      results on every supported backend vs a plain scalar reference, over
-//      adversarial lengths (0..17 straddle every vector width) and INT64
-//      extremes.
-//   3. Stage identity: DetectRequests / EstimateExchanges /
-//      EstimateDownlinkBytes / SplitIntoGroups over a FlowView match the AoS
-//      overloads field-for-field, per backend, on random interleaved traces.
-//      (End-to-end engine identity lives in cold_path_differential_test.)
+//      order, per-flow packet order, SNI and downlink totals that the
+//      array-of-structs oracle (tests/aos_oracle.h) computes — on hand-written
+//      edge cases (empty trace, single-packet flows, interleaved 5-tuples,
+//      SNI on a non-first packet) and on seeded random traces.
+//   2. Fingerprint soundness: captures that differ only in how flows
+//      interleave build equal columns, fingerprint alike and analyze alike;
+//      changing which flow appears first changes the fingerprint.
+//   3. Kernel identity: every column kernel returns bit-identical results on
+//      every supported backend vs a plain scalar reference, over adversarial
+//      lengths (0..17 straddle every vector width) and INT64 extremes.
+//   4. Stage identity: DetectRequests / EstimateExchanges /
+//      EstimateDownlinkBytes / SplitIntoGroups over a FlowView match the
+//      oracle field-for-field, per backend, on random interleaved traces.
+//      (End-to-end prefix identity lives in cold_path_differential_test.)
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -25,12 +29,16 @@
 #include <gtest/gtest.h>
 
 #include "src/capture/packet_columns.h"
+#include "src/common/build_info.h"
 #include "src/common/rng.h"
 #include "src/common/simd.h"
 #include "src/csi/flow_classifier.h"
+#include "src/csi/inference.h"
 #include "src/csi/prefix_cache.h"
 #include "src/csi/size_estimator.h"
 #include "src/csi/splitter.h"
+#include "src/testbed/experiment.h"
+#include "tests/aos_oracle.h"
 
 namespace csi::capture {
 namespace {
@@ -138,8 +146,6 @@ TEST(PacketColumns, SingleFlowIsIdentityPermutation) {
   EXPECT_EQ(columns.flow_begin(0), 0u);
   EXPECT_EQ(columns.flow_end(0), trace.size());
   for (size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ(columns.capture_flow()[i], 0u);
-    EXPECT_EQ(columns.capture_slot()[i], static_cast<uint32_t>(i));
     EXPECT_EQ(columns.timestamps()[i], trace[i].timestamp);
     EXPECT_EQ(columns.payloads()[i], trace[i].payload);
     EXPECT_EQ(columns.wire_sizes()[i], trace[i].wire_size);
@@ -152,10 +158,10 @@ TEST(PacketColumns, SingleFlowIsIdentityPermutation) {
 }
 
 // The reference: flow order, per-flow packet order, SNI and downlink totals
-// must all match what SplitFlows materializes.
+// must all match what the oracle's SplitFlows materializes.
 void ExpectMatchesSplitFlows(const CaptureTrace& trace) {
   const PacketColumns columns = PacketColumns::Build(trace);
-  const std::vector<infer::Flow> flows = infer::SplitFlows(trace);
+  const std::vector<oracle::Flow> flows = oracle::SplitFlows(trace);
   ASSERT_EQ(columns.packet_count(), trace.size());
   ASSERT_EQ(columns.flow_count(), flows.size());
   for (size_t f = 0; f < flows.size(); ++f) {
@@ -172,15 +178,11 @@ void ExpectMatchesSplitFlows(const CaptureTrace& trace) {
       EXPECT_EQ(view.wire_sizes()[i], p.wire_size);
       EXPECT_EQ(view.tcp_seqs()[i], p.tcp_seq);
       EXPECT_EQ(view.from_client()[i] != 0, p.from_client);
+      EXPECT_EQ(columns.tcp_acks()[view.begin + i], p.tcp_ack);
+      EXPECT_EQ(columns.quic_packet_numbers()[view.begin + i], p.quic_packet_number);
+      EXPECT_EQ(columns.sni_at(view.begin + i), p.sni);
       EXPECT_EQ(view.has_sni(i), !p.sni.empty());
     }
-  }
-  // The capture-order maps must address every packet at its original value.
-  for (size_t i = 0; i < trace.size(); ++i) {
-    const uint32_t slot = columns.capture_slot()[i];
-    EXPECT_EQ(FlowKeyOf(trace[i]), columns.flow_key(columns.capture_flow()[i]));
-    EXPECT_EQ(columns.timestamps()[slot], trace[i].timestamp);
-    EXPECT_EQ(columns.sni_at(slot), trace[i].sni);
   }
 }
 
@@ -226,15 +228,130 @@ TEST(PacketColumns, RandomTracesMatchSplitFlows) {
   }
 }
 
-TEST(PacketColumns, FingerprintMatchesTraceFingerprint) {
+TEST(PacketColumns, LayoutVersionMatchesBuildInfo) {
+  // build_info.cc duplicates the literal so csi_common does not depend on
+  // csi_capture; the two copies must not drift.
+  std::string reported;
+  for (const auto& [key, value] : BuildInfoLabels()) {
+    if (key == "packet_layout") {
+      reported = value;
+    }
+  }
+  EXPECT_EQ(reported, kPacketLayoutVersion);
+}
+
+// ---- Fingerprint soundness -------------------------------------------------
+
+// Re-interleaves `trace` at random: every flow keeps its own packet order and
+// flows first appear in the same order as in `trace`, but which flow's packet
+// comes next is otherwise random.
+CaptureTrace Reinterleave(const CaptureTrace& trace, Rng* rng) {
+  const std::vector<oracle::Flow> flows = oracle::SplitFlows(trace);
+  std::vector<size_t> next(flows.size(), 0);
+  size_t started = 0;
+  CaptureTrace out;
+  while (out.size() < trace.size()) {
+    // Candidates: started flows with packets left, plus the next new flow.
+    std::vector<size_t> candidates;
+    for (size_t f = 0; f < started; ++f) {
+      if (next[f] < flows[f].packets.size()) {
+        candidates.push_back(f);
+      }
+    }
+    if (started < flows.size()) {
+      candidates.push_back(started);
+    }
+    const size_t f = candidates[static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(candidates.size()) - 1))];
+    if (f == started) {
+      ++started;
+    }
+    out.push_back(flows[f].packets[next[f]++]);
+  }
+  return out;
+}
+
+void ExpectSameColumns(const PacketColumns& a, const PacketColumns& b) {
+  ASSERT_EQ(a.packet_count(), b.packet_count());
+  ASSERT_EQ(a.flow_count(), b.flow_count());
+  for (uint32_t f = 0; f < a.flow_count(); ++f) {
+    EXPECT_EQ(a.flow_key(f), b.flow_key(f));
+    EXPECT_EQ(a.flow_sni(f), b.flow_sni(f));
+    EXPECT_EQ(a.flow_begin(f), b.flow_begin(f));
+    EXPECT_EQ(a.flow_downlink_bytes(f), b.flow_downlink_bytes(f));
+  }
+  for (size_t i = 0; i < a.packet_count(); ++i) {
+    EXPECT_EQ(a.timestamps()[i], b.timestamps()[i]);
+    EXPECT_EQ(a.payloads()[i], b.payloads()[i]);
+    EXPECT_EQ(a.sni_at(i), b.sni_at(i));
+  }
+}
+
+TEST(PacketColumns, InterleavingDoesNotChangeColumnsOrFingerprint) {
   for (uint64_t seed = 0; seed < 40; ++seed) {
     Rng rng(1700 + seed);
+    SCOPED_TRACE("seed " + std::to_string(seed));
     const CaptureTrace trace = RandomTrace(&rng, static_cast<int>(rng.UniformInt(0, 150)));
-    const PacketColumns columns = PacketColumns::Build(trace);
-    const infer::TraceFingerprint a = infer::FingerprintTrace(trace);
-    const infer::TraceFingerprint b = infer::FingerprintColumns(columns);
-    EXPECT_EQ(a, b) << "seed " << seed;
+    const CaptureTrace shuffled = Reinterleave(trace, &rng);
+    const PacketColumns a = PacketColumns::Build(trace);
+    const PacketColumns b = PacketColumns::Build(shuffled);
+    ExpectSameColumns(a, b);
+    EXPECT_EQ(infer::FingerprintColumns(a), infer::FingerprintColumns(b));
   }
+}
+
+TEST(PacketColumns, InterleavingKeepsAnalysisAndFlowOrderChangesFingerprint) {
+  const TimeUs duration = 40 * kUsPerSec;
+  const media::Manifest manifest =
+      testbed::MakeAssetForDesign(infer::DesignType::kCH, 0, duration);
+  testbed::SessionConfig config;
+  config.design = infer::DesignType::kCH;
+  config.manifest = &manifest;
+  config.downlink = nettrace::StableTrace("s", 4 * kMbps);
+  config.duration = duration;
+  config.seed = 5;
+  const CaptureTrace session = testbed::RunStreamingSession(config).capture;
+  ASSERT_FALSE(session.empty());
+
+  // A second, non-media flow that starts just after the session's first
+  // packet and runs through the whole capture.
+  CaptureTrace probe;
+  for (int i = 0; i < 60; ++i) {
+    PacketRecord p = MakePacket(session.front().timestamp + 1 + i * 500 * kUsPerMs, 61000,
+                                i % 3 == 0, 300 + i, net::Transport::kTcp,
+                                i == 0 ? "probe.other.example" : "");
+    p.server_ip = 0xc0a800fe;
+    probe.push_back(p);
+  }
+  const auto by_time = [](const PacketRecord& x, const PacketRecord& y) {
+    return x.timestamp < y.timestamp;
+  };
+  // Same first-appearance order (session first), two interleavings: the
+  // probe appended after the session, and the probe merged in by time.
+  CaptureTrace appended = session;
+  appended.insert(appended.end(), probe.begin(), probe.end());
+  CaptureTrace merged;
+  std::merge(session.begin(), session.end(), probe.begin(), probe.end(),
+             std::back_inserter(merged), by_time);
+  ASSERT_EQ(merged.front().timestamp, session.front().timestamp);
+  // The probe flow first.
+  CaptureTrace probe_first = probe;
+  probe_first.insert(probe_first.end(), session.begin(), session.end());
+
+  const PacketColumns a = PacketColumns::Build(appended);
+  const PacketColumns b = PacketColumns::Build(merged);
+  const PacketColumns c = PacketColumns::Build(probe_first);
+  EXPECT_EQ(infer::FingerprintColumns(a), infer::FingerprintColumns(b));
+  EXPECT_NE(infer::FingerprintColumns(a), infer::FingerprintColumns(c));
+
+  infer::InferenceConfig engine_config;
+  engine_config.design = infer::DesignType::kCH;
+  const infer::InferenceEngine engine(
+      infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)),
+      engine_config);
+  const infer::InferenceResult result = engine.Analyze(a);
+  EXPECT_FALSE(result.sequences.empty());
+  EXPECT_EQ(engine.Analyze(b), result);
 }
 
 // ---- Kernels ---------------------------------------------------------------
@@ -364,12 +481,12 @@ TEST(SimdColumnKernels, AllBackendsMatchScalarReference) {
 
 void ExpectStagesMatch(const CaptureTrace& trace) {
   const PacketColumns columns = PacketColumns::Build(trace);
-  const std::vector<infer::Flow> flows = infer::SplitFlows(trace);
+  const std::vector<oracle::Flow> flows = oracle::SplitFlows(trace);
   ASSERT_EQ(columns.flow_count(), flows.size());
   for (size_t f = 0; f < flows.size(); ++f) {
     const FlowView view = columns.flow(static_cast<uint32_t>(f));
     for (const bool quic : {false, true}) {
-      const auto aos_req = infer::DetectRequests(flows[f].packets, quic);
+      const auto aos_req = oracle::DetectRequests(flows[f].packets, quic);
       const auto soa_req = infer::DetectRequests(view, quic);
       ASSERT_EQ(aos_req.size(), soa_req.size()) << "flow " << f << " quic " << quic;
       for (size_t i = 0; i < aos_req.size(); ++i) {
@@ -377,7 +494,7 @@ void ExpectStagesMatch(const CaptureTrace& trace) {
         EXPECT_EQ(aos_req[i].carries_sni, soa_req[i].carries_sni);
       }
 
-      const auto aos_ex = infer::EstimateExchanges(flows[f].packets, quic);
+      const auto aos_ex = oracle::EstimateExchanges(flows[f].packets, quic);
       const auto soa_ex = infer::EstimateExchanges(view, quic);
       ASSERT_EQ(aos_ex.size(), soa_ex.size()) << "flow " << f << " quic " << quic;
       for (size_t i = 0; i < aos_ex.size(); ++i) {
@@ -389,14 +506,14 @@ void ExpectStagesMatch(const CaptureTrace& trace) {
 
       for (const TimeUs begin : {TimeUs{-1}, TimeUs{0}, TimeUs{500 * kUsPerMs}}) {
         for (const TimeUs end : {TimeUs{-1}, TimeUs{1 * kUsPerSec}}) {
-          EXPECT_EQ(infer::EstimateDownlinkBytes(flows[f].packets, quic, begin, end),
+          EXPECT_EQ(oracle::EstimateDownlinkBytes(flows[f].packets, quic, begin, end),
                     infer::EstimateDownlinkBytes(view, quic, begin, end))
               << "flow " << f << " quic " << quic;
         }
       }
     }
 
-    const auto aos_groups = infer::SplitIntoGroups(flows[f].packets);
+    const auto aos_groups = oracle::SplitIntoGroups(flows[f].packets);
     const auto soa_groups = infer::SplitIntoGroups(view);
     ASSERT_EQ(aos_groups.size(), soa_groups.size()) << "flow " << f;
     for (size_t g = 0; g < aos_groups.size(); ++g) {
@@ -413,7 +530,7 @@ void ExpectStagesMatch(const CaptureTrace& trace) {
   }
 }
 
-TEST(PacketColumns, StageOutputsMatchAosOnEveryBackend) {
+TEST(PacketColumns, StageOutputsMatchOracleOnEveryBackend) {
   BackendGuard guard;
   for (const simd::Backend backend : AllSupportedBackends()) {
     ASSERT_TRUE(simd::ForceBackend(backend));
@@ -426,12 +543,12 @@ TEST(PacketColumns, StageOutputsMatchAosOnEveryBackend) {
   }
 }
 
-TEST(PacketColumns, ClassifyMediaFlowIdsMatchesClassifyMediaFlows) {
+TEST(PacketColumns, ClassifyMediaFlowIdsMatchesOracle) {
   for (uint64_t seed = 0; seed < 25; ++seed) {
     Rng rng(6200 + seed);
     const CaptureTrace trace = RandomTrace(&rng, static_cast<int>(rng.UniformInt(0, 200)));
     const PacketColumns columns = PacketColumns::Build(trace);
-    const auto media = infer::ClassifyMediaFlows(trace, "cdn.example");
+    const auto media = oracle::ClassifyMediaFlows(trace, "cdn.example");
     const auto ids = infer::ClassifyMediaFlowIds(columns, "cdn.example");
     ASSERT_EQ(media.size(), ids.size()) << "seed " << seed;
     for (size_t i = 0; i < ids.size(); ++i) {

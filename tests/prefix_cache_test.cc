@@ -4,8 +4,8 @@
 // the prefix cache on, off, and env-disabled, for every design path, capture
 // set, repeat schedule, and thread count — the cache may only change WHEN the
 // per-packet stages run, never what they produce. This suite locks that down
-// with seeded replay sweeps against cache-off references, fingerprint
-// stability/collision tests, a live-refresh replay (entries must survive
+// with seeded replay sweeps against cache-off references, columns-fingerprint
+// stability/sensitivity/collision tests, a live-refresh replay (entries must survive
 // snapshot publishes — they are snapshot-independent), and a TSan'd hammer
 // where concurrent BatchAnalyzers share one cache while a LiveChunkDatabase
 // publishes refreshes under them.
@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/capture/packet_columns.h"
 #include "src/common/rng.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/csi/live_database.h"
@@ -67,25 +68,29 @@ capture::PacketRecord BasePacket() {
 
 // --- Fingerprint stability and sensitivity --------------------------------
 
-TEST(TraceFingerprint, DeterministicAcrossCalls) {
+TraceFingerprint Fingerprint(const capture::CaptureTrace& trace) {
+  return FingerprintColumns(capture::PacketColumns::Build(trace));
+}
+
+TEST(FingerprintColumns, DeterministicAcrossCallsAndBuilds) {
   capture::CaptureTrace trace{BasePacket(), BasePacket(), BasePacket()};
   trace[1].timestamp = 2000;
   trace[2].timestamp = 3000;
-  const TraceFingerprint a = FingerprintTrace(trace);
-  const TraceFingerprint b = FingerprintTrace(trace);
-  EXPECT_EQ(a, b);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(trace);
+  const TraceFingerprint a = FingerprintColumns(columns);
+  EXPECT_EQ(FingerprintColumns(columns), a);
   const capture::CaptureTrace copy = trace;
-  EXPECT_EQ(FingerprintTrace(copy), a);
+  EXPECT_EQ(Fingerprint(copy), a);
 }
 
-TEST(TraceFingerprint, EveryObserverVisibleFieldPerturbsIt) {
+TEST(FingerprintColumns, EveryObserverVisibleFieldPerturbsIt) {
   const capture::CaptureTrace base{BasePacket()};
-  const TraceFingerprint ref = FingerprintTrace(base);
+  const TraceFingerprint ref = Fingerprint(base);
 
   const auto mutated = [&](auto&& mutate) {
     capture::CaptureTrace t = base;
     mutate(t[0]);
-    return FingerprintTrace(t);
+    return Fingerprint(t);
   };
   EXPECT_NE(mutated([](auto& p) { p.timestamp += 1; }), ref);
   EXPECT_NE(mutated([](auto& p) { p.from_client = false; }), ref);
@@ -102,14 +107,24 @@ TEST(TraceFingerprint, EveryObserverVisibleFieldPerturbsIt) {
   EXPECT_NE(mutated([](auto& p) { p.sni = "w.example.com"; }), ref);
   EXPECT_NE(mutated([](auto& p) { p.sni.clear(); }), ref);
 
-  // Packet count and order matter too.
+  // Packet count matters, and so does packet order within a flow.
   capture::CaptureTrace two{BasePacket(), BasePacket()};
-  EXPECT_NE(FingerprintTrace(two), ref);
+  EXPECT_NE(Fingerprint(two), ref);
   capture::CaptureTrace empty;
-  EXPECT_NE(FingerprintTrace(empty), ref);
+  EXPECT_NE(Fingerprint(empty), ref);
+  two[1].timestamp += 5;
+  capture::CaptureTrace swapped{two[1], two[0]};
+  EXPECT_NE(Fingerprint(swapped), Fingerprint(two));
+
+  // Which packet carries an SNI matters even when the flow's first SNI does
+  // not change.
+  capture::CaptureTrace late_sni = two;
+  late_sni[1].sni = late_sni[0].sni;
+  late_sni[0].sni.clear();
+  EXPECT_NE(Fingerprint(late_sni), Fingerprint(two));
 }
 
-TEST(TraceFingerprint, NoCollisionsAcrossRandomTraces) {
+TEST(FingerprintColumns, NoCollisionsAcrossRandomTraces) {
   // 500 random traces; a collision needs both independent 64-bit mixes to
   // collide at once, so any duplicate here is a real mixing bug.
   Rng rng(7);
@@ -133,7 +148,7 @@ TEST(TraceFingerprint, NoCollisionsAcrossRandomTraces) {
       }
       trace.push_back(p);
     }
-    const TraceFingerprint fp = FingerprintTrace(trace);
+    const TraceFingerprint fp = Fingerprint(trace);
     for (const TraceFingerprint& other : seen) {
       ASSERT_FALSE(fp == other) << "collision at trace " << t;
     }
@@ -172,8 +187,8 @@ TEST(AnalysisPrefixCache, LookupInsertClearRoundTrip) {
     GTEST_SKIP() << "CSI_CACHE=prefix:off in the environment";
   }
   AnalysisPrefixCache cache(1 << 20);
-  const capture::CaptureTrace trace{BasePacket()};
-  const auto query = AnalysisPrefixCache::MakeQuery(trace, 1);
+  const auto query =
+      AnalysisPrefixCache::MakeQuery(capture::PacketColumns::Build({BasePacket()}), 1);
 
   EXPECT_EQ(cache.Lookup(query), nullptr);
   auto value = std::make_shared<AnalysisPrefix>();
@@ -212,7 +227,8 @@ TEST(AnalysisPrefixCache, EvictionKeepsBytesUnderTinyBudget) {
     value->exchanges.resize(8);
     capture::CaptureTrace t = trace;
     t[0].timestamp = 1000 + i;
-    cache.Insert(AnalysisPrefixCache::MakeQuery(t, 1), std::move(value));
+    cache.Insert(AnalysisPrefixCache::MakeQuery(capture::PacketColumns::Build(t), 1),
+                 std::move(value));
   }
   const auto stats = cache.stats();
   EXPECT_GT(stats.evictions, 0u);
@@ -222,7 +238,7 @@ TEST(AnalysisPrefixCache, EvictionKeepsBytesUnderTinyBudget) {
   // A value bigger than a whole shard is refused outright.
   auto huge = std::make_shared<AnalysisPrefix>();
   huge->exchanges.resize(4096);
-  const auto huge_query = AnalysisPrefixCache::MakeQuery(trace, 9);
+  const auto huge_query = AnalysisPrefixCache::MakeQuery(capture::PacketColumns::Build(trace), 9);
   cache.Insert(huge_query, huge);
   EXPECT_EQ(cache.Lookup(huge_query), nullptr);
 }
@@ -239,8 +255,8 @@ TEST(AnalysisPrefixCache, OffValueSpellings) {
 
 // --- Differential replay: on vs off vs env-disabled ------------------------
 
-std::vector<capture::CaptureTrace> SeededCaptureSet(const media::Manifest& manifest,
-                                                    DesignType design, int unique) {
+std::vector<capture::PacketColumns> SeededCaptureSet(const media::Manifest& manifest,
+                                                     DesignType design, int unique) {
   auto traces = MakeBatch(manifest, design, unique, 60 * kUsPerSec);
   // Duplicates are the cache's bread and butter: re-analyzing the same bytes
   // must hit, and hit output must equal recomputed output.

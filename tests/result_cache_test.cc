@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/capture/packet_columns.h"
 #include "src/csi/batch_analyzer.h"
 #include "src/csi/chunk_database.h"
 #include "src/csi/live_database.h"
@@ -67,7 +68,8 @@ capture::PacketRecord BasePacket() {
 ResultCache::Query QueryFor(const DbSnapshot& db, uint32_t context, TimeUs stamp) {
   capture::CaptureTrace trace{BasePacket()};
   trace[0].timestamp = stamp;
-  return ResultCache::MakeQuery(FingerprintTrace(trace), context, db);
+  return ResultCache::MakeQuery(FingerprintColumns(capture::PacketColumns::Build(trace)),
+                                context, db);
 }
 
 std::shared_ptr<const InferenceResult> MakeResult(int sequences) {
@@ -451,8 +453,8 @@ TEST(ResultCacheMechanics, ForceEnvOffMakesLookupAndInsertNoOps) {
 
 // --- Differential replay: on vs off vs env-disabled -------------------------
 
-std::vector<capture::CaptureTrace> SeededCaptureSet(const media::Manifest& manifest,
-                                                    DesignType design, int unique) {
+std::vector<capture::PacketColumns> SeededCaptureSet(const media::Manifest& manifest,
+                                                     DesignType design, int unique) {
   auto traces = MakeBatch(manifest, design, unique, 60 * kUsPerSec);
   // Duplicates are the top tier's whole purpose: re-analyzing the same bytes
   // must hit, and hit output must equal recomputed output.

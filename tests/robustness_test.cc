@@ -39,12 +39,12 @@ TEST(Robustness, BurstyLossStillInfersAccurately) {
   s.duration = 6 * 60 * kUsPerSec;
   s.seed = 5;
   const auto result = RunStreamingSession(s);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
   infer::InferenceConfig config;
   config.design = DesignType::kSH;
   const infer::InferenceEngine engine(
       infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
-  const auto accuracy =
-      testbed::ScoreInference(engine.Analyze(result.capture), result.downloads);
+  const auto accuracy = testbed::ScoreInference(engine.Analyze(columns), result.downloads);
   EXPECT_GT(accuracy.best, 0.95);
 }
 
@@ -53,19 +53,19 @@ TEST(Robustness, NoisyOcrStillHelps) {
   // not hurt the best output.
   const media::Manifest manifest = MakeAssetForDesign(DesignType::kSQ, 1, 6 * 60 * kUsPerSec);
   const auto result = RunSession(&manifest, DesignType::kSQ, 9);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
   infer::InferenceConfig config;
   config.design = DesignType::kSQ;
   const infer::InferenceEngine engine(
       infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
-  const auto plain = testbed::ScoreInference(engine.Analyze(result.capture), result.downloads);
+  const auto plain = testbed::ScoreInference(engine.Analyze(columns), result.downloads);
   infer::OcrConfig ocr;
   ocr.miss_rate = 0.5;
   Rng rng(1);
   const auto display = infer::SampleDisplayedChunks(result.displays,
                                                     6 * 60 * kUsPerSec, ocr, rng);
   EXPECT_GT(display.size(), 10u);
-  const auto noisy =
-      testbed::ScoreInference(engine.Analyze(result.capture, display), result.downloads);
+  const auto noisy = testbed::ScoreInference(engine.Analyze(columns, display), result.downloads);
   EXPECT_GE(noisy.best + 1e-9, plain.best);
 }
 
@@ -98,6 +98,7 @@ TEST(Robustness, AblationSwitchesDoNotBreakNonMux) {
   // Disabling the robustness machinery must degrade gracefully, never crash.
   const media::Manifest manifest = MakeAssetForDesign(DesignType::kCH, 0, 4 * 60 * kUsPerSec);
   const auto result = RunSession(&manifest, DesignType::kCH, 13, 4 * 60 * kUsPerSec);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
   for (const bool wildcards : {true, false}) {
     for (const bool merge : {true, false}) {
       infer::InferenceConfig config;
@@ -108,7 +109,7 @@ TEST(Robustness, AblationSwitchesDoNotBreakNonMux) {
       const infer::InferenceEngine engine(
           infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
       const auto accuracy =
-          testbed::ScoreInference(engine.Analyze(result.capture), result.downloads);
+          testbed::ScoreInference(engine.Analyze(columns), result.downloads);
       EXPECT_GT(accuracy.best, 0.9) << wildcards << merge;
     }
   }
@@ -117,18 +118,20 @@ TEST(Robustness, AblationSwitchesDoNotBreakNonMux) {
 TEST(Robustness, UncalibratedRankingStillFindsSomething) {
   const media::Manifest manifest = MakeAssetForDesign(DesignType::kSQ, 0, 4 * 60 * kUsPerSec);
   const auto result = RunSession(&manifest, DesignType::kSQ, 17, 4 * 60 * kUsPerSec);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
   infer::InferenceConfig config;
   config.design = DesignType::kSQ;
   config.enable_calibrated_ranking = false;
   const infer::InferenceEngine engine(
       infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
-  const auto inference = engine.Analyze(result.capture);
+  const auto inference = engine.Analyze(columns);
   EXPECT_FALSE(inference.sequences.empty());
 }
 
 TEST(Robustness, Sp2DisabledDegradesSqButRuns) {
   const media::Manifest manifest = MakeAssetForDesign(DesignType::kSQ, 0, 4 * 60 * kUsPerSec);
   const auto result = RunSession(&manifest, DesignType::kSQ, 19, 4 * 60 * kUsPerSec);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
   infer::InferenceConfig with_sp2;
   with_sp2.design = DesignType::kSQ;
   infer::InferenceConfig without_sp2 = with_sp2;
@@ -137,9 +140,8 @@ TEST(Robustness, Sp2DisabledDegradesSqButRuns) {
       infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), with_sp2);
   const infer::InferenceEngine engine_off(
       infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), without_sp2);
-  const auto on = testbed::ScoreInference(engine_on.Analyze(result.capture), result.downloads);
-  const auto off =
-      testbed::ScoreInference(engine_off.Analyze(result.capture), result.downloads);
+  const auto on = testbed::ScoreInference(engine_on.Analyze(columns), result.downloads);
+  const auto off = testbed::ScoreInference(engine_off.Analyze(columns), result.downloads);
   EXPECT_GE(on.best + 1e-9, off.best);
 }
 
@@ -162,7 +164,7 @@ TEST(Robustness, TruncatedCaptureGivesPartialButConsistentResult) {
   config.design = DesignType::kCH;
   const infer::InferenceEngine engine(
       infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
-  const auto inference = engine.Analyze(half);
+  const auto inference = engine.Analyze(capture::PacketColumns::Build(half));
   ASSERT_FALSE(inference.sequences.empty());
   const auto accuracy = testbed::ScoreInference(inference, truncated_gt);
   EXPECT_GT(accuracy.best, 0.9);
@@ -183,12 +185,12 @@ TEST(Robustness, WrongDesignTypeFailsSafely) {
   // explain things (wrong assumptions), not fabricate a perfect answer.
   const media::Manifest manifest = MakeAssetForDesign(DesignType::kSQ, 0, 4 * 60 * kUsPerSec);
   const auto result = RunSession(&manifest, DesignType::kSQ, 29, 4 * 60 * kUsPerSec);
+  const capture::PacketColumns columns = capture::PacketColumns::Build(result.capture);
   infer::InferenceConfig config;
   config.design = DesignType::kCQ;  // ignores multiplexing
   const infer::InferenceEngine engine(
       infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)), config);
-  const auto accuracy =
-      testbed::ScoreInference(engine.Analyze(result.capture), result.downloads);
+  const auto accuracy = testbed::ScoreInference(engine.Analyze(columns), result.downloads);
   EXPECT_LT(accuracy.best, 1.0);
 }
 

@@ -144,11 +144,11 @@ TEST(Tracing, FlightRecorderDumpsOnAnalysisFailureFirstWins) {
   config.design = DesignType::kSQ;
   infer::BatchConfig batch;
   batch.threads = 2;
-  batch.analyze_override = [](const capture::CaptureTrace&) -> infer::InferenceResult {
+  batch.analyze_override = [](const capture::PacketColumns&) -> infer::InferenceResult {
     throw std::runtime_error("injected trace failure");
   };
   infer::BatchAnalyzer analyzer(&manifest, config, batch);
-  const std::vector<capture::CaptureTrace> traces(3);
+  const std::vector<capture::PacketColumns> traces(3);
   std::vector<std::string> errors;
   const auto results = analyzer.AnalyzeAll(traces, nullptr, &errors);
   // All three traces failed in isolation; the batch itself completed.

@@ -85,8 +85,8 @@ int main(int argc, char** argv) {
   // Before the database build so the build spans land in the trace.
   tools::StartTraceSessionIfRequested(common);
   const media::Manifest manifest = media::Manifest::Parse(manifest_text);
-  // Transpose to the columnar layout right after the pcap parse; the AoS
-  // trace never reaches the engine.
+  // Transpose to the columns the engine reads right after the pcap parse;
+  // the packet-record trace is dropped at once.
   const capture::PacketColumns columns =
       capture::PacketColumns::Build(capture::ReadPcap(pcap_path));
   std::printf("loaded %zu packets, manifest %s: %d video tracks x %d chunks%s\n",

@@ -198,40 +198,31 @@ int main(int argc, char** argv) {
   const media::Manifest manifest = media::Manifest::Parse(manifest_text);
   // A corrupt capture is an expected condition at deployment scale (truncated
   // tcpdump, mid-rotation file): record it, keep going, fail at the end.
-  std::vector<capture::CaptureTrace> traces;
+  // Each capture is read, transposed to columns and dropped before the next
+  // one is read, so at most one packet-record trace is held at a time; every
+  // --repeat / --follow-manifests round then analyzes the columns directly.
+  std::vector<capture::PacketColumns> columns;
   std::vector<std::string> loaded_paths;
   std::vector<std::pair<std::string, std::string>> failures;
-  traces.reserve(pcap_paths.size());
+  columns.reserve(pcap_paths.size());
   size_t total_packets = 0;
   for (const std::string& path : pcap_paths) {
     try {
-      traces.push_back(capture::ReadPcap(path));
+      columns.push_back(capture::PacketColumns::Build(capture::ReadPcap(path)));
     } catch (const std::exception& e) {
       failures.emplace_back(path, e.what());
       CSI_COUNTER_INC("csi_batch_trace_load_failures_total");
       continue;
     }
     loaded_paths.push_back(path);
-    total_packets += traces.back().size();
+    total_packets += columns.back().packet_count();
   }
   std::printf("loaded %zu trace(s), %zu packets total; manifest %s: %d tracks x %d chunks\n",
-              traces.size(), total_packets, manifest.asset_id.c_str(),
+              columns.size(), total_packets, manifest.asset_id.c_str(),
               manifest.num_video_tracks(), manifest.num_positions());
   for (const auto& [path, what] : failures) {
     std::fprintf(stderr, "warning: skipped %s: %s\n", path.c_str(), what.c_str());
   }
-
-  // Transpose every capture to the columnar layout once, up front: each
-  // --repeat / --follow-manifests round then analyzes the PacketColumns
-  // directly, so repeats never pay the per-call column build — and the AoS
-  // traces are released here since the columns carry everything inference
-  // reads.
-  std::vector<capture::PacketColumns> columns;
-  columns.reserve(traces.size());
-  for (const capture::CaptureTrace& trace : traces) {
-    columns.push_back(capture::PacketColumns::Build(trace));
-  }
-  traces = {};
 
   infer::InferenceConfig config;
   config.design = common.design();
