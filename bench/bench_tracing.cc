@@ -1,12 +1,12 @@
-// Tracing overhead benchmarks (PR 7 tentpole).
+// Tracing overhead benchmarks.
 //
 // BM_BatchInferenceTracingDisabled vs BM_BatchInferenceTracingFull vs
 // BM_BatchInferenceTracingFlight is the headline comparison: the same SQ
-// batch analyzed with tracing compiled in but runtime-off (the production
-// default, budgeted at <= 2% over an untraced build), with a full-mode
-// session recording every span, and with the small flight-recorder rings.
-// BM_DisabledSpanCost and BM_EnabledInstantCost give the per-site price:
-// the disabled span is one relaxed atomic load and branch; the enabled
+// batch analyzed with no trace session (the production default), with a
+// full-mode session recording every span, and with the small
+// flight-recorder rings. BM_DisabledSpanCost and BM_EnabledInstantCost give
+// the per-site price: a CSI_SPAN with no session is a clock pair plus one
+// stage-histogram observation and one relaxed load and branch; the enabled
 // instant is a clock read plus a ring write under an uncontended lock.
 
 #include <benchmark/benchmark.h>
@@ -63,8 +63,8 @@ void RunBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(w.traces.size()));
 }
 
-// Production default: tracing compiled in, no session active. Every
-// instrumentation site reduces to an atomic load + branch.
+// Production default: no session active. Every trace emission reduces to
+// an atomic load + branch; spans still feed the stage histograms.
 void BM_BatchInferenceTracingDisabled(benchmark::State& state) {
   trace::TraceSession::Global().Stop();
   RunBatch(state);
@@ -90,11 +90,11 @@ void BM_BatchInferenceTracingFlight(benchmark::State& state) {
   trace::TraceSession::Global().Stop();
 }
 
-// Per-site cost of a span macro with no active session (ns/op).
+// Per-site cost of a CSI_SPAN with no active session (ns/op).
 void BM_DisabledSpanCost(benchmark::State& state) {
   trace::TraceSession::Global().Stop();
   for (auto _ : state) {
-    CSI_TRACE_SPAN("bench_disabled_span", "bench");
+    CSI_SPAN("bench_disabled_span", "bench");
     benchmark::ClobberMemory();
   }
 }

@@ -10,6 +10,9 @@ namespace {
 
 constexpr uint32_t kPcapMagic = 0xa1b2c3d4;  // microsecond timestamps
 constexpr uint32_t kLinkTypeRaw = 101;       // raw IPv4/IPv6
+constexpr uint32_t kIpv4Header = 20;
+constexpr uint32_t kTcpHeader = 20;
+constexpr uint32_t kUdpHeader = 8;
 
 void Put8(std::vector<uint8_t>& out, uint8_t v) { out.push_back(v); }
 void Put16be(std::vector<uint8_t>& out, uint16_t v) {
@@ -32,7 +35,12 @@ void Put32le(std::vector<uint8_t>& out, uint32_t v) {
 class Reader {
  public:
   explicit Reader(const std::vector<uint8_t>& data) : data_(data) {}
-  uint8_t U8() { return data_.at(pos_++); }
+  uint8_t U8() {
+    if (pos_ >= data_.size()) {
+      throw std::runtime_error("pcap: truncated");
+    }
+    return data_[pos_++];
+  }
   uint16_t U16be() {
     const uint16_t hi = U8();
     return static_cast<uint16_t>(hi << 8 | U8());
@@ -181,6 +189,11 @@ CaptureTrace ParsePcap(const std::vector<uint8_t>& bytes) {
     if (in.Remaining() < incl_len) {
       throw std::runtime_error("pcap: truncated packet body");
     }
+    // Every record carries at least the IPv4 + UDP headers read below; the
+    // TCP case is checked once the protocol is known.
+    if (incl_len < kIpv4Header + kUdpHeader) {
+      throw std::runtime_error("pcap: packet shorter than its headers");
+    }
 
     PacketRecord r;
     r.timestamp = static_cast<TimeUs>(ts_sec) * kUsPerSec + ts_usec;
@@ -197,6 +210,10 @@ CaptureTrace ParsePcap(const std::vector<uint8_t>& bytes) {
     const uint16_t src_port = in.U16be();
     const uint16_t dst_port = in.U16be();
     const bool is_tcp = proto == 6;
+    const uint32_t headers = kIpv4Header + (is_tcp ? kTcpHeader : kUdpHeader);
+    if (incl_len < headers || orig_len < headers) {
+      throw std::runtime_error("pcap: packet shorter than its headers");
+    }
     r.transport = is_tcp ? net::Transport::kTcp : net::Transport::kUdp;
     // Client side = the endpoint on the ephemeral port.
     r.from_client = dst_port == 443;
@@ -204,9 +221,8 @@ CaptureTrace ParsePcap(const std::vector<uint8_t>& bytes) {
     r.server_ip = r.from_client ? dst_ip : src_ip;
     r.client_port = r.from_client ? src_port : dst_port;
     r.server_port = r.from_client ? dst_port : src_port;
-    const Bytes transport_header = is_tcp ? 20 : 8;
     r.wire_size = static_cast<Bytes>(orig_len);
-    r.payload = static_cast<Bytes>(orig_len) - 20 - transport_header;
+    r.payload = static_cast<Bytes>(orig_len - headers);
     if (is_tcp) {
       r.tcp_seq = in.U32be();
       r.tcp_ack = in.U32be();

@@ -22,20 +22,6 @@ telemetry::Labels BuildInfoLabels() {
 #endif
       },
       {"simd_backend", simd::BackendName(simd::ActiveBackend())},
-      {"telemetry",
-#if defined(CSI_TELEMETRY_DISABLED)
-       "off"
-#else
-       "on"
-#endif
-      },
-      {"tracing",
-#if defined(CSI_TRACING_DISABLED)
-       "off"
-#else
-       "on"
-#endif
-      },
   };
 }
 

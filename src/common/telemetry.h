@@ -1,19 +1,17 @@
 // Pipeline telemetry: a process-wide metrics registry (counters, gauges,
-// fixed-bucket histograms) plus a scoped span timer that records per-stage
-// durations, exported as JSON or Prometheus text exposition.
+// fixed-bucket histograms), exported as JSON or Prometheus text exposition.
+// Scoped stage timing is CSI_SPAN in tracing.h, which observes the
+// `csi_stage_duration_seconds{stage=...}` histograms registered here.
 //
 // Hot-path contract, in order of importance:
 //   1. Telemetry must never change what the pipeline computes. All
 //      instrumentation is write-only from the instrumented code's point of
-//      view; inference output is byte-identical with telemetry enabled,
-//      disabled, or compiled out (covered by telemetry_test).
+//      view; inference output matches the golden digests with every metric
+//      recording (covered by telemetry_test).
 //   2. Increments are uncontended: every metric is sharded into
 //      cache-line-aligned stripes and each thread writes its own stripe
 //      (relaxed atomics), so concurrent batch workers never bounce a line
 //      and TSan sees only atomic accesses. Stripes are summed on Snapshot().
-//   3. The process-wide kill switch (`SetEnabled(false)`) reduces every
-//      instrumentation site to one relaxed load and a branch; defining
-//      CSI_TELEMETRY_DISABLED compiles the CSI_* macros away entirely.
 //
 // Instrumentation sites use the CSI_* macros below. Each site resolves its
 // metric pointer once (function-local static), so the registry mutex is
@@ -23,7 +21,6 @@
 #define CSI_SRC_COMMON_TELEMETRY_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -33,11 +30,6 @@
 #include <vector>
 
 namespace csi::telemetry {
-
-// Runtime kill switch. Defaults to enabled; flipping it affects only whether
-// new samples are recorded, never pipeline behavior.
-bool Enabled();
-void SetEnabled(bool on);
 
 // Label set attached to a metric, e.g. {{"stage", "path_search"}}. Kept
 // sorted by key inside the registry so identity and export order are
@@ -72,9 +64,6 @@ inline void AtomicAdd(std::atomic<double>& target, double delta) {
 class Counter {
  public:
   void Add(int64_t n) {
-    if (!Enabled()) {
-      return;
-    }
     stripes_[ThreadStripe()].value.fetch_add(n, std::memory_order_relaxed);
   }
   void Increment() { Add(1); }
@@ -91,11 +80,7 @@ class Counter {
 // Last-write-wins instantaneous value (queue depth, batch progress).
 class Gauge {
  public:
-  void Set(double v) {
-    if (Enabled()) {
-      value_.store(v, std::memory_order_relaxed);
-    }
-  }
+  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
   double Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -214,77 +199,7 @@ class MetricsRegistry {
   std::map<Key, std::unique_ptr<Histogram>> histograms_;
 };
 
-// Scoped timer recording its lifetime into a histogram, in seconds. Reads
-// the clock only when telemetry is enabled at construction.
-class SpanTimer {
- public:
-  explicit SpanTimer(Histogram* hist) : hist_(Enabled() ? hist : nullptr) {
-    if (hist_ != nullptr) {
-      start_ = std::chrono::steady_clock::now();
-    }
-  }
-  ~SpanTimer() {
-    if (hist_ != nullptr) {
-      hist_->Observe(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                   start_)
-                         .count());
-    }
-  }
-  SpanTimer(const SpanTimer&) = delete;
-  SpanTimer& operator=(const SpanTimer&) = delete;
-
- private:
-  Histogram* hist_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 }  // namespace csi::telemetry
-
-#define CSI_TELEMETRY_CAT2(a, b) a##b
-#define CSI_TELEMETRY_CAT(a, b) CSI_TELEMETRY_CAT2(a, b)
-
-#if defined(CSI_TELEMETRY_DISABLED)
-
-#define CSI_SPAN(stage) \
-  do {                  \
-  } while (false)
-#define CSI_SCOPED_HIST_TIMER(metric) \
-  do {                                \
-  } while (false)
-#define CSI_COUNTER_ADD(metric, n) \
-  do {                             \
-  } while (false)
-#define CSI_COUNTER_INC(metric) \
-  do {                          \
-  } while (false)
-#define CSI_GAUGE_SET(metric, v) \
-  do {                           \
-  } while (false)
-#define CSI_HISTOGRAM_OBSERVE(metric, bucket_bounds, v) \
-  do {                                                  \
-  } while (false)
-
-#else
-
-// Records the enclosing scope's duration into the per-stage latency
-// histogram `csi_stage_duration_seconds{stage="<stage>"}`.
-#define CSI_SPAN(stage)                                                             \
-  static ::csi::telemetry::Histogram* const CSI_TELEMETRY_CAT(csi_span_hist_,       \
-                                                              __LINE__) =           \
-      ::csi::telemetry::MetricsRegistry::Global().GetHistogram(                     \
-          "csi_stage_duration_seconds", ::csi::telemetry::DurationBuckets(),        \
-          {{"stage", (stage)}});                                                    \
-  ::csi::telemetry::SpanTimer CSI_TELEMETRY_CAT(csi_span_timer_, __LINE__)(         \
-      CSI_TELEMETRY_CAT(csi_span_hist_, __LINE__))
-
-// Like CSI_SPAN but into an unlabelled histogram named `metric`.
-#define CSI_SCOPED_HIST_TIMER(metric)                                               \
-  static ::csi::telemetry::Histogram* const CSI_TELEMETRY_CAT(csi_timer_hist_,      \
-                                                              __LINE__) =           \
-      ::csi::telemetry::MetricsRegistry::Global().GetHistogram(                     \
-          (metric), ::csi::telemetry::DurationBuckets());                           \
-  ::csi::telemetry::SpanTimer CSI_TELEMETRY_CAT(csi_timer_, __LINE__)(              \
-      CSI_TELEMETRY_CAT(csi_timer_hist_, __LINE__))
 
 #define CSI_COUNTER_ADD(metric, n)                                                  \
   do {                                                                              \
@@ -309,7 +224,5 @@ class SpanTimer {
                                                                  (bucket_bounds));  \
     csi_hist_site->Observe(static_cast<double>(v));                                 \
   } while (false)
-
-#endif  // CSI_TELEMETRY_DISABLED
 
 #endif  // CSI_SRC_COMMON_TELEMETRY_H_

@@ -13,7 +13,7 @@ namespace {
 // tasks are accounted identically wherever they end up running.
 void RunTimedTask(const std::function<void()>& task) {
   {
-    CSI_SCOPED_HIST_TIMER("csi_threadpool_task_duration_seconds");
+    CSI_SPAN("pool_task", "pool");
     task();
   }
   CSI_COUNTER_INC("csi_threadpool_tasks_total");
@@ -117,32 +117,20 @@ void ThreadPool::ParallelFor(int64_t n, const std::function<void(int64_t)>& fn) 
     }
   };
   // Trace-context propagation: the caller opens a flow ('s'); every helper
-  // that actually runs binds to it with a step ('t') inside its own task
+  // that actually runs binds to it with a step ('t') inside its pool_task
   // span, so the fanned-out work nests under this loop in the trace viewer.
   // The caller closes the flow ('f') after the join.
-  uint64_t flow = 0;
-  if (trace::Enabled()) {
-    flow = trace::NewFlowId();
-    trace::EmitBegin("parallel_for", "pool", {{"n", n}});
-    trace::EmitFlow('s', "parallel_for", flow);
-  }
+  CSI_SPAN("parallel_for", "pool", {"n", n});
+  const uint64_t flow = trace::Enabled() ? trace::NewFlowId() : 0;
+  trace::EmitFlow('s', "parallel_for", flow);
   // Helpers never outnumber the remaining iterations; a helper that starts
   // after the loop is drained exits immediately.
   const int64_t helpers = std::min<int64_t>(num_workers(), n - 1);
   state->unfinished = helpers;
   for (int64_t h = 0; h < helpers; ++h) {
     Post([state, drain, flow]() {
-      {
-        const bool traced = flow != 0 && trace::Enabled();
-        if (traced) {
-          trace::EmitBegin("parallel_for_worker", "pool");
-          trace::EmitFlow('t', "parallel_for", flow);
-        }
-        drain();
-        if (traced) {
-          trace::EmitEnd("parallel_for_worker", "pool");
-        }
-      }
+      trace::EmitFlow('t', "parallel_for", flow);
+      drain();
       std::lock_guard<std::mutex> lock(state->mu);
       if (--state->unfinished == 0) {
         state->done_cv.notify_all();
@@ -169,10 +157,7 @@ void ThreadPool::ParallelFor(int64_t n, const std::function<void(int64_t)>& fn) 
       break;
     }
   }
-  if (flow != 0 && trace::Enabled()) {
-    trace::EmitFlow('f', "parallel_for", flow);
-    trace::EmitEnd("parallel_for", "pool");
-  }
+  trace::EmitFlow('f', "parallel_for", flow);
   if (state->err) {
     std::rethrow_exception(state->err);
   }

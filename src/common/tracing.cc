@@ -201,9 +201,12 @@ bool WriteStringToFile(const std::string& path, const std::string& contents,
 
 }  // namespace
 
-#if !defined(CSI_TRACING_DISABLED)
 bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
-#endif
+
+telemetry::Histogram* StageHistogram(const char* name) {
+  return telemetry::MetricsRegistry::Global().GetHistogram(
+      "csi_stage_duration_seconds", telemetry::DurationBuckets(), {{"stage", name}});
+}
 
 uint64_t NewFlowId() {
   return g_next_flow_id.fetch_add(1, std::memory_order_relaxed);

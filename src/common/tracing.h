@@ -1,17 +1,22 @@
-// Structured event tracing: per-thread ring buffers of begin/end/instant/flow
-// events collected by a process-wide TraceSession and exported as Chrome
-// trace-event JSON (loadable in Perfetto / chrome://tracing).
+// Structured event tracing and the one scoped-span primitive, CSI_SPAN.
+//
+// CSI_SPAN(name, category, args...) times the enclosing scope. Every span
+// observes `csi_stage_duration_seconds{stage=name}` (telemetry.h); while a
+// TraceSession is active it also brackets the scope with a 'B'/'E' pair
+// carrying the args in the calling thread's ring. The trace name and the
+// stage label are the same string, so the histogram count of a stage equals
+// the number of its 'B' events over a session (checked by tracing_test).
+// The rings are collected by a process-wide TraceSession and exported as
+// Chrome trace-event JSON (loadable in Perfetto / chrome://tracing).
 //
 // Contract, mirroring the telemetry conventions (telemetry.h):
 //   1. Tracing must never change what the pipeline computes. Events are
 //      write-only from the instrumented code's point of view; inference
-//      output is byte-identical tracing-on vs tracing-off vs compiled out
-//      (covered by tracing_test).
-//   2. Disabled is the default and nearly free: every instrumentation site
-//      reduces to one relaxed load and a branch while no session is active.
-//      Defining CSI_TRACING_DISABLED (cmake -DCSI_TRACING=OFF) compiles the
-//      CSI_TRACE_* macros away entirely; the session API stays linkable so
-//      tools build unchanged.
+//      output is byte-identical tracing-on vs tracing-off (covered by
+//      tracing_test).
+//   2. Inactive is the default and nearly free: with no session active a
+//      span costs its histogram observation plus one relaxed load and a
+//      branch, and an instant or flow event only the load and branch.
 //   3. Bounded memory: each thread owns a fixed-capacity ring and overwrites
 //      its own oldest events; a runaway stage can never grow the trace
 //      without limit. Writers never contend with each other — each thread
@@ -28,30 +33,27 @@
 //
 // Cross-thread causality uses Chrome flow events: ParallelFor emits a flow
 // 's' (start) on the calling thread and every participating worker emits a
-// 't' (step) bound to the same flow id inside its task span, so fanned-out
-// work nests under its logical parent in the viewer. Background compaction
-// propagates the same way across ThreadPool::Submit.
+// 't' (step) bound to the same flow id inside its pool_task span, so
+// fanned-out work nests under its logical parent in the viewer. Background
+// compaction propagates the same way across ThreadPool::Submit.
 
 #ifndef CSI_SRC_COMMON_TRACING_H_
 #define CSI_SRC_COMMON_TRACING_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
 #include <vector>
 
+#include "src/common/telemetry.h"
+
 namespace csi::trace {
 
 // True while a TraceSession is active. One relaxed load; every
-// instrumentation helper checks it first. With CSI_TRACING_DISABLED it is a
-// compile-time false, so `if (trace::Enabled())` guards dead-code eliminate
-// even the non-macro instrumentation sites (ThreadPool flow propagation).
-#if defined(CSI_TRACING_DISABLED)
-inline constexpr bool Enabled() { return false; }
-#else
+// instrumentation helper checks it first.
 bool Enabled();
-#endif
 
 enum class Mode {
   kFull,    // big rings, export at end of run
@@ -158,7 +160,7 @@ uint64_t NewFlowId();
 void Emit(TraceEvent event);
 
 void EmitBegin(const char* name, const char* category,
-               std::initializer_list<TraceArg> args = {});
+               std::initializer_list<TraceArg> args);
 void EmitEnd(const char* name, const char* category);
 void EmitInstant(const char* name, const char* category,
                  std::initializer_list<TraceArg> args = {});
@@ -166,30 +168,40 @@ void EmitInstant(const char* name, const char* category,
 // 'f' when the logical operation completes.
 void EmitFlow(char phase, const char* name, uint64_t flow_id);
 
-// RAII begin/end pair. Captures Enabled() at construction so a session
-// starting mid-span cannot emit an 'E' with no matching 'B'; a session
-// stopping mid-span leaves an unclosed 'B', which viewers auto-close.
-class SpanGuard {
+// `csi_stage_duration_seconds{stage=name}` in the global registry. CSI_SPAN
+// resolves it once per site.
+telemetry::Histogram* StageHistogram(const char* name);
+
+// The scope object behind CSI_SPAN. Captures Enabled() at construction so a
+// session starting mid-span cannot emit an 'E' with no matching 'B'; a
+// session stopping mid-span leaves an unclosed 'B', which viewers
+// auto-close. The clock brackets only the scope, not the event emission.
+class Span {
  public:
-  SpanGuard(const char* name, const char* category,
-            std::initializer_list<TraceArg> args = {})
-      : name_(name), category_(category), armed_(Enabled()) {
-    if (armed_) {
+  Span(telemetry::Histogram* stage, const char* name, const char* category,
+       std::initializer_list<TraceArg> args)
+      : stage_(stage), name_(name), category_(category), traced_(Enabled()) {
+    if (traced_) {
       EmitBegin(name_, category_, args);
     }
+    start_ = std::chrono::steady_clock::now();
   }
-  ~SpanGuard() {
-    if (armed_) {
+  ~Span() {
+    stage_->Observe(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count());
+    if (traced_) {
       EmitEnd(name_, category_);
     }
   }
-  SpanGuard(const SpanGuard&) = delete;
-  SpanGuard& operator=(const SpanGuard&) = delete;
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
 
  private:
+  telemetry::Histogram* stage_;
   const char* name_;
   const char* category_;
-  bool armed_;
+  bool traced_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace csi::trace
@@ -197,35 +209,19 @@ class SpanGuard {
 #define CSI_TRACING_CAT2(a, b) a##b
 #define CSI_TRACING_CAT(a, b) CSI_TRACING_CAT2(a, b)
 
-#if defined(CSI_TRACING_DISABLED)
-
-#define CSI_TRACE_SPAN(name, category) \
-  do {                                 \
-  } while (false)
-#define CSI_TRACE_SPAN_ARGS(name, category, ...) \
-  do {                                           \
-  } while (false)
-#define CSI_TRACE_INSTANT(name, category, ...) \
-  do {                                         \
-  } while (false)
-
-#else
-
-// Duration span covering the enclosing scope.
-#define CSI_TRACE_SPAN(name, category) \
-  ::csi::trace::SpanGuard CSI_TRACING_CAT(csi_trace_span_, __LINE__)((name), (category))
-
-// Duration span whose 'B' event carries args, e.g.
-//   CSI_TRACE_SPAN_ARGS("db_build", "db", {"chunks", total}, {"shards", n});
-#define CSI_TRACE_SPAN_ARGS(name, category, ...)                         \
-  ::csi::trace::SpanGuard CSI_TRACING_CAT(csi_trace_span_, __LINE__)(    \
-      (name), (category), {__VA_ARGS__})
+// Times the enclosing scope as stage `name` (a string literal), e.g.
+//   CSI_SPAN("db_build", "db", {"tracks", n}, {"positions", m});
+// Up to kMaxTraceArgs args ride on the 'B' event of an active session.
+#define CSI_SPAN(name, category, ...)                                          \
+  static ::csi::telemetry::Histogram* const CSI_TRACING_CAT(csi_span_stage_,   \
+                                                            __LINE__) =        \
+      ::csi::trace::StageHistogram(name);                                      \
+  ::csi::trace::Span CSI_TRACING_CAT(csi_span_, __LINE__)(                     \
+      CSI_TRACING_CAT(csi_span_stage_, __LINE__), (name), (category), {__VA_ARGS__})
 
 // Instant event with args, e.g.
 //   CSI_TRACE_INSTANT("group_cache", "cache", {"outcome", "hit"});
 #define CSI_TRACE_INSTANT(name, category, ...) \
   ::csi::trace::EmitInstant((name), (category), {__VA_ARGS__})
-
-#endif  // CSI_TRACING_DISABLED
 
 #endif  // CSI_SRC_COMMON_TRACING_H_

@@ -82,15 +82,14 @@ std::vector<InferenceResult> BatchAnalyzer::AnalyzeAll(
   if (audits != nullptr) {
     audits->assign(total, InferenceAudit{});
   }
-  CSI_TRACE_SPAN_ARGS("batch_analyze_all", "batch",
-                      {"traces", static_cast<int64_t>(total)});
+  CSI_SPAN("batch_analyze_all", "batch", {"traces", static_cast<int64_t>(total)});
   std::atomic<size_t> completed{0};
   std::mutex progress_mu;
   pool_.ParallelFor(static_cast<int64_t>(total), [&](int64_t i) {
-    // One clock pair per trace is noise next to Analyze itself; reading it
-    // unconditionally keeps the timing slots available with telemetry off.
+    // One clock pair per trace for the caller's timing slot; noise next to
+    // Analyze itself.
     const auto start = std::chrono::steady_clock::now();
-    CSI_TRACE_SPAN_ARGS("batch_trace", "batch", {"index", i});
+    CSI_SPAN("batch_trace", "batch", {"index", i});
     // A throwing trace must not take its siblings down with it: the slot
     // keeps a default result and the error is reported by index. Letting the
     // exception escape would make ParallelFor abort the remaining traces.
@@ -121,8 +120,6 @@ std::vector<InferenceResult> BatchAnalyzer::AnalyzeAll(
     if (trace_seconds != nullptr) {
       (*trace_seconds)[static_cast<size_t>(i)] = seconds;
     }
-    CSI_HISTOGRAM_OBSERVE("csi_batch_trace_duration_seconds",
-                          telemetry::DurationBuckets(), seconds);
     CSI_COUNTER_INC("csi_batch_traces_total");
     const size_t done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
     CSI_GAUGE_SET("csi_batch_traces_in_flight", total - done);

@@ -189,7 +189,7 @@ std::shared_ptr<const GroupCandidateSet> GroupCandidateCache::Lookup(
   if (EnvForcesOff()) {
     return nullptr;
   }
-  CSI_SPAN("group_cache_lookup");
+  CSI_SPAN("group_cache_lookup", "cache");
   auto& shard = store_.ShardFor(query);
   std::shared_ptr<const GroupCandidateSet> hit;
   [[maybe_unused]] bool found = false;

@@ -91,11 +91,9 @@ ChunkDatabase::ChunkDatabase(const media::Manifest* manifest)
 
 ChunkDatabase::ChunkDatabase(const media::Manifest* manifest, const DbBuildOptions& options)
     : manifest_(manifest) {
-  CSI_SPAN("db_build");
   num_tracks_ = manifest->num_video_tracks();
   num_positions_ = manifest->num_positions();
-  CSI_TRACE_SPAN_ARGS("db_build", "db", {"tracks", num_tracks_},
-                      {"positions", num_positions_});
+  CSI_SPAN("db_build", "db", {"tracks", num_tracks_}, {"positions", num_positions_});
   const size_t total = static_cast<size_t>(num_tracks_) * static_cast<size_t>(num_positions_);
   size_of_.assign(total, 0);
   min_at_.assign(static_cast<size_t>(num_positions_), 0);
@@ -141,7 +139,7 @@ ChunkDatabase::ChunkDatabase(const media::Manifest* manifest, const DbBuildOptio
         total * static_cast<size_t>(s) / static_cast<size_t>(build_shards_);
   }
   ParallelFor(options.pool, build_shards_, [&](int64_t s) {
-    CSI_SPAN("db_build_shard");
+    CSI_SPAN("db_build_shard", "db");
     const size_t lo = bounds[static_cast<size_t>(s)];
     const size_t hi = bounds[static_cast<size_t>(s) + 1];
     for (size_t f = lo; f < hi; ++f) {

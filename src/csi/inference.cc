@@ -136,9 +136,8 @@ AnalysisPrefix ComputeAnalysisPrefix(const capture::PacketColumns& columns,
   AnalysisPrefix prefix;
   std::vector<uint32_t> media;
   {
-    CSI_SPAN("flow_classify");
-    CSI_TRACE_SPAN_ARGS("flow_classify", "stage",
-                        {"packets", static_cast<int64_t>(columns.packet_count())});
+    CSI_SPAN("flow_classify", "stage",
+             {"packets", static_cast<int64_t>(columns.packet_count())});
     media = ClassifyMediaFlowIds(columns, host_suffix);
   }
   prefix.media_flows = static_cast<int>(media.size());
@@ -157,14 +156,10 @@ AnalysisPrefix ComputeAnalysisPrefix(const capture::PacketColumns& columns,
   const capture::FlowView view = columns.flow(main_flow);
 
   if (design == DesignType::kSQ) {
-    CSI_SPAN("traffic_split");
-    CSI_TRACE_SPAN_ARGS("traffic_split", "stage",
-                        {"packets", static_cast<int64_t>(view.size())});
+    CSI_SPAN("traffic_split", "stage", {"packets", static_cast<int64_t>(view.size())});
     prefix.groups = SplitIntoGroups(view, splitter);
   } else {
-    CSI_SPAN("size_estimate");
-    CSI_TRACE_SPAN_ARGS("size_estimate", "stage",
-                        {"packets", static_cast<int64_t>(view.size())});
+    CSI_SPAN("size_estimate", "stage", {"packets", static_cast<int64_t>(view.size())});
     for (const EstimatedExchange& ex : EstimateExchanges(view, IsQuic(design))) {
       if (ex.carries_sni) {
         // Handshake exchange (ClientHello / QUIC Initial): the data in its
@@ -183,9 +178,7 @@ AnalysisPrefix ComputeAnalysisPrefix(const capture::PacketColumns& columns,
 InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
                                          const DisplayConstraints& display,
                                          InferenceAudit* audit) const {
-  CSI_SPAN("analyze");
-  CSI_TRACE_SPAN_ARGS("analyze", "stage",
-                      {"packets", static_cast<int64_t>(columns.packet_count())});
+  CSI_SPAN("analyze", "stage", {"packets", static_cast<int64_t>(columns.packet_count())});
   CSI_COUNTER_INC("csi_analyze_calls_total");
 
   AnalysisPrefixCache* const prefix_cache =
@@ -319,9 +312,7 @@ InferenceResult InferenceEngine::Analyze(const capture::PacketColumns& columns,
     }
     groups = &local_groups;
   }
-  CSI_SPAN("group_search");
-  CSI_TRACE_SPAN_ARGS("group_search", "stage",
-                      {"groups", static_cast<int64_t>(groups->size())});
+  CSI_SPAN("group_search", "stage", {"groups", static_cast<int64_t>(groups->size())});
   if (effective_audit != nullptr) {
     effective_audit->groups = static_cast<int>(groups->size());
   }

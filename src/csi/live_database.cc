@@ -192,8 +192,7 @@ void LiveChunkDatabase::CompactFrom(std::shared_ptr<const media::Manifest> manif
   // and writers keep refreshing while it runs.
   std::shared_ptr<const ChunkDatabase> base;
   {
-    CSI_SPAN("db_compaction");
-    CSI_TRACE_SPAN("db_compaction", "db");
+    CSI_SPAN("db_compaction", "db");
     base = std::make_shared<const ChunkDatabase>(
         manifest_version.get(), DbBuildOptions{options_.pool, options_.build_shards});
   }
@@ -242,11 +241,8 @@ void LiveChunkDatabase::StartBackgroundCompaction(
   std::lock_guard<std::mutex> lock(compaction_mu_);
   // Flow event tying the submitting thread to the worker that eventually
   // runs the compaction, so the rebuild nests under its trigger in a viewer.
-  uint64_t flow_id = 0;
-  if (trace::Enabled()) {
-    flow_id = trace::NewFlowId();
-    trace::EmitFlow('s', "background_compaction", flow_id);
-  }
+  const uint64_t flow_id = trace::Enabled() ? trace::NewFlowId() : 0;
+  trace::EmitFlow('s', "background_compaction", flow_id);
   // Replacing a finished future whose exception nobody collected drops that
   // exception; WaitForCompaction is the way to observe failures.
   compaction_ =
@@ -255,14 +251,10 @@ void LiveChunkDatabase::StartBackgroundCompaction(
           std::atomic<bool>* flag;
           ~ClearFlag() { flag->store(false); }
         } clear{&compaction_running_};
-        CSI_TRACE_SPAN("background_compaction", "db");
-        if (flow_id != 0 && trace::Enabled()) {
-          trace::EmitFlow('t', "background_compaction", flow_id);
-        }
+        CSI_SPAN("background_compaction", "db");
+        trace::EmitFlow('t', "background_compaction", flow_id);
         CompactFrom(mv);
-        if (flow_id != 0 && trace::Enabled()) {
-          trace::EmitFlow('f', "background_compaction", flow_id);
-        }
+        trace::EmitFlow('f', "background_compaction", flow_id);
       });
 }
 

@@ -4,13 +4,14 @@
 #include <functional>
 
 #include "src/common/telemetry.h"
+#include "src/common/tracing.h"
 
 namespace csi::infer {
 
 std::vector<SlotOptions> BuildSlotOptions(const std::vector<EstimatedExchange>& exchanges,
                                           const ChunkDatabase& db, double k,
                                           const DisplayConstraints& display) {
-  CSI_SPAN("slot_options");
+  CSI_SPAN("slot_options", "search");
   std::vector<SlotOptions> options;
   options.reserve(exchanges.size());
   for (const auto& ex : exchanges) {
@@ -70,7 +71,7 @@ class Searcher {
   }
 
   InferenceResult Run() {
-    CSI_SPAN("path_search");
+    CSI_SPAN("path_search", "search");
     InferenceResult result;
     result.exchanges = exchanges_;
     const int n = static_cast<int>(options_.size());

@@ -146,8 +146,7 @@ std::shared_ptr<const AnalysisPrefix> AnalysisPrefixCache::Lookup(const Query& q
   if (EnvForcesOff()) {
     return nullptr;
   }
-  CSI_SPAN("prefix_cache_lookup");
-  CSI_TRACE_SPAN("prefix_cache_lookup", "cache");
+  CSI_SPAN("prefix_cache_lookup", "cache");
   auto& shard = store_.ShardFor(query);
   std::shared_ptr<const AnalysisPrefix> hit;
   {

@@ -189,8 +189,7 @@ std::shared_ptr<const InferenceResult> ResultCache::Lookup(const Query& query,
   if (EnvForcesOff()) {
     return nullptr;
   }
-  CSI_SPAN("result_cache_lookup");
-  CSI_TRACE_SPAN("result_cache_lookup", "cache");
+  CSI_SPAN("result_cache_lookup", "cache");
   auto& shard = store_.ShardFor(query);
   std::shared_ptr<const InferenceResult> hit;
   [[maybe_unused]] bool found = false;

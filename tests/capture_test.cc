@@ -136,9 +136,23 @@ TEST(Pcap, FileRoundTrip) {
 }
 
 TEST(Pcap, RejectsGarbage) {
+  EXPECT_THROW(ParsePcap({}), std::runtime_error);
   EXPECT_THROW(ParsePcap({1, 2, 3, 4}), std::runtime_error);
-  std::vector<uint8_t> bad = SerializePcap(SampleTrace());
+  const std::vector<uint8_t> good = SerializePcap(SampleTrace());
+  std::vector<uint8_t> bad = good;
   bad.resize(bad.size() - 3);  // truncated body
+  EXPECT_THROW(ParsePcap(bad), std::runtime_error);
+  // A prefix of the 24-byte global header.
+  EXPECT_THROW(ParsePcap(std::vector<uint8_t>(good.begin(), good.begin() + 10)),
+               std::runtime_error);
+  // A record whose incl_len (bytes 8..11 of the 16-byte record header) is
+  // shorter than the IPv4 + transport headers the parser reads.
+  constexpr size_t kGlobalHeader = 24;
+  bad = good;
+  bad[kGlobalHeader + 8] = 12;
+  bad[kGlobalHeader + 9] = 0;
+  bad[kGlobalHeader + 10] = 0;
+  bad[kGlobalHeader + 11] = 0;
   EXPECT_THROW(ParsePcap(bad), std::runtime_error);
 }
 

@@ -322,5 +322,42 @@ TEST(CommonOptionsTest, ParseDesignNameCoversAllDesigns) {
   EXPECT_FALSE(ParseDesignName("", &design));
 }
 
+// The breakdown covers analyze's direct children only: nested stages
+// (candidate_enum, sequence_chain, group_cache_lookup inside group_search)
+// and stages outside analyze (db_build, batch_trace, pool_task) must not be
+// counted, and the parts plus "rest" sum to analyze.
+TEST(StageBreakdownTest, ReportsDirectChildrenOfAnalyzeOnly) {
+  telemetry::MetricsSnapshot snapshot;
+  const auto stage = [&snapshot](const std::string& name, double sum) {
+    telemetry::HistogramSnapshot h;
+    h.name = "csi_stage_duration_seconds";
+    h.labels = {{"stage", name}};
+    h.count = 1;
+    h.sum = sum;
+    snapshot.histograms.push_back(h);
+  };
+  stage("analyze", 10.0);
+  stage("flow_classify", 1.0);
+  stage("traffic_split", 0.5);
+  stage("size_estimate", 0.5);
+  stage("group_search", 6.0);
+  stage("candidate_enum", 3.0);
+  stage("sequence_chain", 2.5);
+  stage("group_cache_lookup", 0.25);
+  stage("result_cache_lookup", 0.5);
+  stage("prefix_cache_lookup", 0.5);
+  stage("db_build", 4.0);
+  stage("batch_trace", 11.0);
+  stage("pool_task", 11.0);
+  telemetry::HistogramSnapshot other_metric;
+  other_metric.name = "csi_candidates_per_query";
+  other_metric.sum = 99.0;
+  snapshot.histograms.push_back(other_metric);
+  EXPECT_EQ(FormatStageBreakdown(snapshot),
+            "stage timing: analyze 10.000s; per-packet 2.000s (20.0%); "
+            "search 6.000s (60.0%); cache lookup 1.000s (10.0%); rest 1.000s (10.0%)");
+  EXPECT_EQ(FormatStageBreakdown(telemetry::MetricsSnapshot{}), "");
+}
+
 }  // namespace
 }  // namespace csi::tools

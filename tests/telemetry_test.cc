@@ -4,10 +4,9 @@
 //   * histogram bucket boundaries are inclusive upper bounds with a +Inf
 //     tail;
 //   * JSON / Prometheus exports are byte-stable (golden outputs);
-//   * instrumentation never changes inference output: results are
-//     byte-identical with telemetry enabled, disabled, and — via the golden
-//     digest, which CI also checks in a -DCSI_TELEMETRY=OFF build — compiled
-//     out entirely.
+//   * instrumentation never changes inference output: with every metric
+//     and span recording, the fixed batch still hits its golden digest;
+//   * an analysis fills the stage-span histograms and pipeline counters.
 
 #include <gtest/gtest.h>
 
@@ -70,9 +69,7 @@ TEST(MetricsRegistry, GlobalMacrosRecordFromPoolWorkers) {
     CSI_COUNTER_INC("telemetry_test_macro_total");
     CSI_HISTOGRAM_OBSERVE("telemetry_test_macro_hist", telemetry::CountBuckets(), 3);
   });
-#if !defined(CSI_TELEMETRY_DISABLED)
   EXPECT_EQ(MetricsRegistry::Global().GetCounter("telemetry_test_macro_total")->Value(), 32);
-#endif
 }
 
 TEST(Histogram, BucketBoundariesAreInclusiveUpperBounds) {
@@ -160,28 +157,12 @@ using testutil::DigestResults;
 using testutil::MakeBatch;
 using testutil::kSqBatchDigest;
 
-TEST(TelemetryInvariance, ResultsByteIdenticalEnabledVsDisabled) {
-  telemetry::SetEnabled(true);
-  const auto with_telemetry = AnalyzeFixedSqBatch();
-  telemetry::SetEnabled(false);
-  const auto without_telemetry = AnalyzeFixedSqBatch();
-  telemetry::SetEnabled(true);
-  ASSERT_EQ(with_telemetry.size(), without_telemetry.size());
-  for (size_t i = 0; i < with_telemetry.size(); ++i) {
-    EXPECT_EQ(with_telemetry[i], without_telemetry[i]) << "trace " << i;
-  }
-  EXPECT_FALSE(with_telemetry.empty());
-  EXPECT_EQ(DigestResults(with_telemetry), DigestResults(without_telemetry));
-}
-
 TEST(TelemetryInvariance, GoldenDigestHoldsInEveryBuildMode) {
   EXPECT_EQ(DigestResults(AnalyzeFixedSqBatch()), kSqBatchDigest);
 }
 
 TEST(TelemetryInvariance, AnalyzePopulatesStageHistograms) {
-#if !defined(CSI_TELEMETRY_DISABLED)
   MetricsRegistry::Global().Reset();
-  telemetry::SetEnabled(true);
   AnalyzeFixedSqBatch();
   const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
   bool saw_analyze_span = false;
@@ -207,7 +188,6 @@ TEST(TelemetryInvariance, AnalyzePopulatesStageHistograms) {
   }
   EXPECT_GT(queries, 0);
   EXPECT_EQ(batch_traces, 4);
-#endif
 }
 
 TEST(BatchAnalyzer, ProgressCallbackAndTimingSlots) {

@@ -7,10 +7,11 @@
 //     list (golden output);
 //   * a flight-recorder session dumps the last events plus a metrics
 //     snapshot when a batch trace analysis throws, first failure wins;
+//   * one instrumentation API: every 'B' event comes from a CSI_SPAN, whose
+//     csi_stage_duration_seconds{stage=name} histogram counts exactly as
+//     many observations as the session holds 'B' events of that name;
 //   * instrumentation never changes inference output: the golden digest
-//     holds with tracing enabled, disabled, and — in the -DCSI_TRACING=OFF
-//     CI build — compiled out entirely, and collecting audits is equally
-//     inert.
+//     holds with tracing on and off, and collecting audits is equally inert.
 
 #include <gtest/gtest.h>
 
@@ -24,9 +25,11 @@
 #include <string>
 #include <vector>
 
+#include "src/common/telemetry.h"
 #include "src/common/thread_pool.h"
 #include "src/common/tracing.h"
 #include "src/csi/batch_analyzer.h"
+#include "src/csi/candidate_cache.h"
 #include "src/testbed/experiment.h"
 #include "tests/inference_digest.h"
 
@@ -39,14 +42,12 @@ using testutil::DigestResults;
 using testutil::kSqBatchDigest;
 using testutil::MakeBatch;
 
-[[maybe_unused]] std::string Slurp(const std::string& path) {
+std::string Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
 }
-
-#if !defined(CSI_TRACING_DISABLED)
 
 TEST(Tracing, RingOverwritesOldestAndCountsDrops) {
   trace::SessionOptions options;
@@ -170,8 +171,6 @@ TEST(Tracing, FlightRecorderDumpsOnAnalysisFailureFirstWins) {
   EXPECT_EQ(dump.find("cascade failure"), std::string::npos);
 }
 
-#endif  // !CSI_TRACING_DISABLED
-
 TEST(Tracing, ChromeTraceJsonGolden) {
   std::vector<trace::TraceEvent> events(5);
   events[0].name = "analyze";
@@ -224,10 +223,8 @@ TEST(Tracing, ChromeTraceJsonGolden) {
 }
 
 // The invariance contract, tracing edition: the golden digest holds with an
-// active full-mode session, with tracing runtime-off, and (when CI builds
-// with -DCSI_TRACING=OFF) compiled out — this test runs unchanged in every
-// configuration.
-TEST(TracingInvariance, ResultsByteIdenticalOnVsOffVsCompiledOut) {
+// active full-mode session and with tracing off.
+TEST(TracingInvariance, ResultsByteIdenticalOnVsOff) {
   // All four design paths, not just SQ: the CH/SH/CQ pipelines emit their own
   // span/instant mix (size_estimate instead of traffic_split, merge repair),
   // and each must be inert too.
@@ -241,6 +238,47 @@ TEST(TracingInvariance, ResultsByteIdenticalOnVsOffVsCompiledOut) {
         << infer::DesignTypeName(design);
     EXPECT_EQ(DigestResults(without_tracing), testutil::GoldenBatchDigest(design))
         << infer::DesignTypeName(design);
+  }
+}
+
+// One span API: over a session, every 'B' name is a stage of the span
+// histogram and the two count the same scopes. Reset() first so the
+// histograms hold this session only; AnalyzeFixedBatch joins its pool before
+// returning, so every worker-side span has closed by the snapshot.
+TEST(TracingInvariance, EverySpanFeedsHistogramAndTraceAlike) {
+  telemetry::MetricsRegistry::Global().Reset();
+  trace::TraceSession& session = trace::TraceSession::Global();
+  session.Start({});
+  testutil::AnalyzeFixedBatch(DesignType::kCH);
+  AnalyzeFixedSqBatch();
+  session.Stop();
+  ASSERT_EQ(session.dropped_events(), 0u);
+
+  std::map<std::string, int64_t> begins;
+  for (const trace::TraceEvent& e : session.Collect()) {
+    if (e.phase == 'B') {
+      ++begins[e.name];
+    }
+  }
+  std::map<std::string, int64_t> stage_counts;
+  for (const telemetry::HistogramSnapshot& h :
+       telemetry::MetricsRegistry::Global().Snapshot().histograms) {
+    if (h.name == "csi_stage_duration_seconds" && h.labels.size() == 1 &&
+        h.labels[0].first == "stage") {
+      stage_counts[h.labels[0].second] = h.count;
+    }
+  }
+  // The batch, pool and candidate-cache spans must be among them.
+  std::vector<std::string> expected = {"analyze", "batch_trace", "pool_task"};
+  if (!infer::GroupCandidateCache::EnvForcesOff()) {
+    expected.push_back("group_cache_lookup");
+  }
+  for (const std::string& name : expected) {
+    EXPECT_TRUE(begins.count(name) != 0) << name;
+  }
+  for (const auto& [name, count] : begins) {
+    ASSERT_TRUE(stage_counts.count(name) != 0) << "no stage histogram for span " << name;
+    EXPECT_EQ(stage_counts[name], count) << name;
   }
 }
 

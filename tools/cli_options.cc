@@ -277,14 +277,14 @@ std::string FormatCacheSummaryBlock(const infer::ResultCache* result,
 }
 
 std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot) {
-  // Pull per-stage wall-clock sums out of the span histogram. Stage names are
-  // the CSI_SPAN sites in src/csi; anything unlisted lands in "other" so new
-  // spans never silently vanish from the breakdown.
-  double per_packet = 0.0;  // flow_classify + traffic_split + size_estimate
-  double search = 0.0;      // group_search (candidate + graph layers)
-  double cache_lookup = 0.0;
+  // Wall-clock sums of analyze and its direct children, from the span
+  // histograms. Stages nested deeper (candidate_enum, sequence_chain and
+  // group_cache_lookup run inside group_search) or outside analyze (db
+  // builds, batch and pool spans) are ignored, so the parts sum to analyze.
   double analyze = 0.0;
-  double other = 0.0;
+  double per_packet = 0.0;    // flow_classify + traffic_split + size_estimate
+  double search = 0.0;        // group_search
+  double cache_lookup = 0.0;  // result + prefix tiers
   bool any = false;
   for (const telemetry::HistogramSnapshot& h : snapshot.histograms) {
     if (h.name != "csi_stage_duration_seconds" || h.labels.empty() ||
@@ -292,39 +292,31 @@ std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot) {
       continue;
     }
     const std::string& stage = h.labels[0].second;
-    if (stage == "analyze") {
-      // The envelope span, not a component: it brackets everything below.
-      analyze += h.sum;
-      any = true;
-      continue;
-    }
     any = true;
-    if (stage == "flow_classify" || stage == "traffic_split" || stage == "size_estimate") {
+    if (stage == "analyze") {
+      analyze += h.sum;
+    } else if (stage == "flow_classify" || stage == "traffic_split" ||
+               stage == "size_estimate") {
       per_packet += h.sum;
     } else if (stage == "group_search") {
       search += h.sum;
-    } else if (stage == "group_cache_lookup" || stage == "prefix_cache_lookup" ||
-               stage == "result_cache_lookup") {
+    } else if (stage == "result_cache_lookup" || stage == "prefix_cache_lookup") {
       cache_lookup += h.sum;
-    } else {
-      other += h.sum;
     }
   }
   if (!any) {
     return std::string();
   }
+  const double rest = analyze - per_packet - search - cache_lookup;
   const auto pct = [analyze](double v) {
     return analyze > 0.0 ? 100.0 * v / analyze : 0.0;
   };
-  // "other" can include stages outside the analyze envelope (db build,
-  // exports), so the components are reported against analyze, not summed to
-  // it.
   char buf[320];
   std::snprintf(buf, sizeof(buf),
                 "stage timing: analyze %.3fs; per-packet %.3fs (%.1f%%); "
-                "search %.3fs (%.1f%%); cache lookup %.3fs (%.1f%%); other stages %.3fs",
+                "search %.3fs (%.1f%%); cache lookup %.3fs (%.1f%%); rest %.3fs (%.1f%%)",
                 analyze, per_packet, pct(per_packet), search, pct(search), cache_lookup,
-                pct(cache_lookup), other);
+                pct(cache_lookup), rest, pct(rest));
   return buf;
 }
 

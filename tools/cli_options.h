@@ -123,13 +123,14 @@ std::string FormatCacheSummaryBlock(const infer::ResultCache* result,
                                     const infer::AnalysisPrefixCache* prefix,
                                     const infer::GroupCandidateCache* candidate);
 
-// Per-stage timing breakdown from the csi_stage_duration_seconds span
-// histograms in `snapshot`: per-packet stages (flow_classify, traffic_split,
-// size_estimate) vs. the candidate/graph search (group_search), plus cache
-// lookup overhead — so the prefix-cache win is visible straight from the
-// csi_batch summary, no trace viewer needed. Empty string when the snapshot
-// carries no stage histograms (e.g. telemetry compiled out). No trailing
-// newline.
+// Per-stage timing breakdown of analyze from the csi_stage_duration_seconds
+// span histograms in `snapshot`, over analyze's direct children only: the
+// per-packet stages (flow_classify, traffic_split, size_estimate), the
+// search (group_search), the result- and prefix-tier cache lookups, and the
+// rest of analyze, so the four parts sum to analyze and the prefix-cache win
+// is visible straight from the csi_batch summary. Every other stage is
+// ignored. Empty string when the snapshot carries no stage histograms. No
+// trailing newline.
 std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot);
 
 // Writes audits[i] as a JSON line labeled labels[i] (falling back to the
