@@ -1,9 +1,10 @@
 #include "src/capture/packet_columns.h"
 
+#include <algorithm>
 #include <map>
+#include <numeric>
+#include <type_traits>
 #include <utility>
-
-#include "src/common/simd.h"
 
 namespace csi::capture {
 
@@ -17,26 +18,24 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
   std::vector<int32_t> capture_sni(n, -1);
 
   // Pass 1: intern flow keys in first-appearance order, count packets per
-  // flow, record first non-empty SNIs, and intern the distinct SNI strings.
+  // flow and flow-id runs, and intern the distinct SNI strings.
   std::map<FlowKey, uint32_t> flow_ids;
   std::map<std::string, int32_t> sni_ids;
   std::vector<uint32_t> counts;
+  size_t runs = 0;
   for (size_t i = 0; i < n; ++i) {
     const PacketRecord& r = trace[i];
     const auto [it, inserted] = flow_ids.try_emplace(
         FlowKeyOf(r), static_cast<uint32_t>(c.flow_keys_.size()));
     if (inserted) {
       c.flow_keys_.push_back(it->first);
-      c.flow_snis_.emplace_back();
       counts.push_back(0);
     }
     const uint32_t f = it->second;
+    runs += (i == 0 || capture_flow[i - 1] != f) ? 1 : 0;
     capture_flow[i] = f;
     ++counts[f];
     if (!r.sni.empty()) {
-      if (c.flow_snis_[f].empty()) {
-        c.flow_snis_[f] = r.sni;
-      }
       const auto [sit, sni_inserted] = sni_ids.try_emplace(
           r.sni, static_cast<int32_t>(c.sni_table_.size()));
       if (sni_inserted) {
@@ -56,7 +55,7 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
   // flow's packets are already contiguous, the runs appear in
   // first-appearance (= id) order, so capture index i is slot i and no
   // cursors are needed.
-  const bool contiguous = simd::CountRuns(capture_flow.data(), n) == flows;
+  const bool contiguous = runs == flows;
   std::vector<size_t> cursor(c.flow_begin_.begin(), c.flow_begin_.begin() + flows);
   c.ts_.resize(n);
   c.payload_.resize(n);
@@ -79,12 +78,44 @@ PacketColumns PacketColumns::Build(const CaptureTrace& trace) {
     c.sni_ref_[slot] = capture_sni[i];
   }
 
-  // Per-flow downlink totals straight off the columns.
-  c.flow_downlink_.resize(flows);
+  // Time order per flow (a real pcap can step backwards), then the per-flow
+  // downlink totals and first non-empty SNIs straight off the ordered columns.
+  c.flow_snis_.resize(flows);
+  c.flow_downlink_.resize(flows, 0);
   for (size_t f = 0; f < flows; ++f) {
     const size_t b = c.flow_begin_[f];
-    c.flow_downlink_[f] = simd::DirectionMaskedSum(
-        c.dir_.data() + b, 0, c.payload_.data() + b, c.flow_begin_[f + 1] - b);
+    const size_t e = c.flow_begin_[f + 1];
+    if (!std::is_sorted(c.ts_.begin() + b, c.ts_.begin() + e)) {
+      // Stable sort by timestamp, every column moved along.
+      std::vector<size_t> order(e - b);
+      std::iota(order.begin(), order.end(), b);
+      std::stable_sort(order.begin(), order.end(),
+                       [&c](size_t x, size_t y) { return c.ts_[x] < c.ts_[y]; });
+      const auto permute = [&order, b](auto& column) {
+        std::vector<std::decay_t<decltype(column[0])>> span;
+        span.reserve(order.size());
+        for (const size_t i : order) {
+          span.push_back(column[i]);
+        }
+        std::copy(span.begin(), span.end(), column.begin() + static_cast<long>(b));
+      };
+      permute(c.ts_);
+      permute(c.payload_);
+      permute(c.wire_);
+      permute(c.seq_);
+      permute(c.ack_);
+      permute(c.pn_);
+      permute(c.dir_);
+      permute(c.sni_ref_);
+    }
+    for (size_t i = b; i < e; ++i) {
+      if (c.dir_[i] == 0) {
+        c.flow_downlink_[f] += c.payload_[i];
+      }
+      if (c.sni_ref_[i] >= 0 && c.flow_snis_[f].empty()) {
+        c.flow_snis_[f] = c.sni_table_[c.sni_ref_[i]];
+      }
+    }
   }
   return c;
 }

@@ -6,8 +6,7 @@
 // packet. The per-packet inference stages — classify, split, request
 // detection, size estimation, fingerprinting — only ever stream a few scalar
 // fields at a time, so `PacketColumns` transposes the trace once into
-// parallel flat columns that the SIMD kernels in src/common/simd.h can scan
-// directly:
+// parallel flat columns that each stage walks in one forward sweep per flow:
 //
 //   - int64 timestamp / payload / wire-size columns,
 //   - uint64 tcp-seq / tcp-ack / quic-packet-number columns,
@@ -15,14 +14,23 @@
 //   - a small-int SNI reference column pointing into a side table of the few
 //     distinct SNI strings (interned once per trace, not copied per packet),
 //   - a per-flow side table (5-tuple key, first non-empty SNI, downlink byte
-//     total, column span) built by the same single interning pass.
+//     total, column span).
 //
 // Storage is *flow-major*: each flow's packets occupy one contiguous span
-// `[flow_begin(f), flow_end(f))` in within-flow capture order, and flow ids
-// follow first-appearance order. A `FlowView` is a non-owning
-// {columns, flow, span} triple that the estimator/splitter stages consume with
-// zero per-flow packet copies. How flows interleaved in the capture is not
-// kept: no inference stage depends on it.
+// `[flow_begin(f), flow_end(f))`, and flow ids follow first-appearance order.
+// How flows interleaved in the capture is not kept: no inference stage
+// depends on it.
+//
+// Time-order invariant: every flow span is in non-decreasing timestamp order,
+// with capture order kept among equal timestamps. Build owns it: a span whose
+// timestamps step backwards (a real pcap can; simulator captures never do) is
+// stable-sorted by timestamp, every column permuted together, so Build of a
+// capture equals Build of its per-flow stably time-sorted copy. The flow's SNI
+// and totals are read off the ordered span. The estimator and splitter rely
+// on the invariant: their exchange and group windows are contiguous runs of a
+// span, so each makes one forward walk per flow. A `FlowView` is a non-owning
+// {columns, flow, span} triple that those stages consume with zero per-flow
+// packet copies.
 //
 // `kPacketLayoutVersion` names this layout in `csi_build_info` so metrics and
 // traces identify the build's column set.
@@ -68,11 +76,12 @@ struct FlowView {
 
 class PacketColumns {
  public:
-  // Transposes `trace` into columns. Two passes: one interning pass assigns
-  // flow ids in first-appearance order and counts packets per flow, then a
-  // scatter places every packet into its flow's span. When the capture is
-  // already flow-contiguous (flow-id run count == flow count) the scatter
-  // degenerates to an identity copy.
+  // Transposes `trace` into columns. One interning pass assigns flow ids in
+  // first-appearance order and counts packets per flow, then a scatter places
+  // every packet into its flow's span. When the capture is already
+  // flow-contiguous (flow-id run count == flow count) the scatter degenerates
+  // to an identity copy. Finally each span is checked with std::is_sorted and
+  // only a span that fails is time-sorted (the invariant above).
   static PacketColumns Build(const CaptureTrace& trace);
 
   size_t packet_count() const { return ts_.size(); }
@@ -96,6 +105,7 @@ class PacketColumns {
   }
 
   // Per-flow side tables (size flow_count(); ids are first-appearance order).
+  // flow_sni is the first non-empty SNI of the time-ordered span.
   const FlowKey& flow_key(uint32_t flow) const { return flow_keys_[flow]; }
   const std::string& flow_sni(uint32_t flow) const { return flow_snis_[flow]; }
   int64_t flow_downlink_bytes(uint32_t flow) const {

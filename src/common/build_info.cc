@@ -14,13 +14,6 @@ telemetry::Labels BuildInfoLabels() {
       {"packet_layout", "soa-v2"},
       {"prefix_cache_default", CsiCacheEnvDisables("prefix") ? "off" : "on"},
       {"result_cache_default", CsiCacheEnvDisables("result") ? "off" : "on"},
-      {"simd",
-#if defined(CSI_SIMD_DISABLED)
-       "off"
-#else
-       "on"
-#endif
-      },
       {"simd_backend", simd::BackendName(simd::ActiveBackend())},
   };
 }

@@ -1,6 +1,6 @@
 // Build/runtime provenance for metrics artifacts: which SIMD backend the
-// process dispatched to, whether the vector kernels were compiled in, and
-// which cache tiers the environment forces off. Exported as the
+// process dispatched to, the packet layout, and which cache tiers the
+// environment forces off. Exported as the
 // conventional `csi_build_info` gauge (constant value 1, facts in labels) so
 // every METRICS_*.json / .prom snapshot records how it was produced.
 
@@ -13,7 +13,7 @@ namespace csi {
 
 // Label set describing this binary and process:
 //   simd_backend          runtime-dispatched kernel ("scalar"/"sse2"/...)
-//   simd                  "on" unless compiled out with -DCSI_SIMD=OFF
+//   packet_layout         capture::kPacketLayoutVersion
 //   candidate_cache_default / prefix_cache_default / result_cache_default
 //                         "off" iff CSI_CACHE in the environment forces that
 //                         tier off (see cache_env.h), else "on"

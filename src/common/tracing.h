@@ -176,19 +176,28 @@ telemetry::Histogram* StageHistogram(const char* name);
 // session starting mid-span cannot emit an 'E' with no matching 'B'; a
 // session stopping mid-span leaves an unclosed 'B', which viewers
 // auto-close. The clock brackets only the scope, not the event emission.
+// `seconds`, when given, receives the same duration the histogram observes.
 class Span {
  public:
   Span(telemetry::Histogram* stage, const char* name, const char* category,
-       std::initializer_list<TraceArg> args)
-      : stage_(stage), name_(name), category_(category), traced_(Enabled()) {
+       std::initializer_list<TraceArg> args, double* seconds = nullptr)
+      : stage_(stage),
+        name_(name),
+        category_(category),
+        seconds_(seconds),
+        traced_(Enabled()) {
     if (traced_) {
       EmitBegin(name_, category_, args);
     }
     start_ = std::chrono::steady_clock::now();
   }
   ~Span() {
-    stage_->Observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count());
+    const double elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
+    stage_->Observe(elapsed);
+    if (seconds_ != nullptr) {
+      *seconds_ = elapsed;
+    }
     if (traced_) {
       EmitEnd(name_, category_);
     }
@@ -200,6 +209,7 @@ class Span {
   telemetry::Histogram* stage_;
   const char* name_;
   const char* category_;
+  double* seconds_;
   bool traced_;
   std::chrono::steady_clock::time_point start_;
 };

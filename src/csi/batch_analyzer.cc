@@ -1,7 +1,6 @@
 #include "src/csi/batch_analyzer.h"
 
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <mutex>
 #include <string>
@@ -85,11 +84,13 @@ std::vector<InferenceResult> BatchAnalyzer::AnalyzeAll(
   CSI_SPAN("batch_analyze_all", "batch", {"traces", static_cast<int64_t>(total)});
   std::atomic<size_t> completed{0};
   std::mutex progress_mu;
-  pool_.ParallelFor(static_cast<int64_t>(total), [&](int64_t i) {
-    // One clock pair per trace for the caller's timing slot; noise next to
-    // Analyze itself.
-    const auto start = std::chrono::steady_clock::now();
-    CSI_SPAN("batch_trace", "batch", {"index", i});
+  // Analyzes trace i under its batch_trace span, whose one clock pair also
+  // fills the caller's timing slot.
+  const auto analyze_one = [&](int64_t i) {
+    static telemetry::Histogram* const batch_trace = trace::StageHistogram("batch_trace");
+    trace::Span span(batch_trace, "batch_trace", "batch", {{"index", i}},
+                     trace_seconds != nullptr ? &(*trace_seconds)[static_cast<size_t>(i)]
+                                              : nullptr);
     // A throwing trace must not take its siblings down with it: the slot
     // keeps a default result and the error is reported by index. Letting the
     // exception escape would make ParallelFor abort the remaining traces.
@@ -115,11 +116,9 @@ std::vector<InferenceResult> BatchAnalyzer::AnalyzeAll(
       trace::TraceSession::Global().DumpFlightRecord(
           "batch trace " + std::to_string(i), "unknown error");
     }
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    if (trace_seconds != nullptr) {
-      (*trace_seconds)[static_cast<size_t>(i)] = seconds;
-    }
+  };
+  pool_.ParallelFor(static_cast<int64_t>(total), [&](int64_t i) {
+    analyze_one(i);
     CSI_COUNTER_INC("csi_batch_traces_total");
     const size_t done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
     CSI_GAUGE_SET("csi_batch_traces_in_flight", total - done);

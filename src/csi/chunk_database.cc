@@ -205,11 +205,6 @@ std::pair<size_t, size_t> ChunkDatabase::FlatRange(Bytes lo, Bytes hi) const {
   }
   const size_t last = c + simd::CountAtOrBelow(data + c, d - c, hi);
 
-  if (simd::ActiveBackend() != simd::Backend::kScalar) {
-    CSI_COUNTER_INC("csi_simd_window_scans_total");
-  } else {
-    CSI_COUNTER_INC("csi_scalar_window_scans_total");
-  }
   return {first, last};
 }
 

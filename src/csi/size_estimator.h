@@ -32,20 +32,31 @@ struct DetectedRequest {
   bool carries_sni = false;  // the ClientHello (never an HTTP request)
 };
 
-// Requests of a flow, in capture order (HTTPS: de-duplicated and with
+// Requests of a flow, in time order (HTTPS: de-duplicated and with
 // multi-segment request messages merged).
 std::vector<DetectedRequest> DetectRequests(const capture::FlowView& flow,
                                             bool quic);
+
+// Estimated object bytes and last downlink data time of one window.
+struct WindowEstimate {
+  Bytes bytes = 0;
+  TimeUs last_data_time = 0;  // the window's start when it holds no data
+};
+
+// One estimate per window (starts[r], starts[r+1]], the last window
+// open-ended, from a single forward walk over the flow's time-ordered span
+// (see capture::PacketColumns). `starts` must be non-decreasing, as request
+// times taken from the span are. HTTPS drops retransmitted sequence numbers
+// across the whole flow; QUIC strips the public header from each downlink
+// payload.
+std::vector<WindowEstimate> EstimateWindows(const capture::FlowView& flow,
+                                            bool quic,
+                                            const std::vector<TimeUs>& starts);
 
 // Per-exchange size estimates for designs without transport MUX: downlink
 // traffic between consecutive requests is one object (§5.3.1 Step 1.2).
 std::vector<EstimatedExchange> EstimateExchanges(const capture::FlowView& flow,
                                                  bool quic);
-
-// Total estimated downlink object bytes in the half-open time window
-// (begin, end]. Set end < 0 for "until the end of the flow".
-Bytes EstimateDownlinkBytes(const capture::FlowView& flow, bool quic,
-                            TimeUs begin, TimeUs end);
 
 }  // namespace csi::infer
 

@@ -4,26 +4,9 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/simd.h"
 #include "src/common/telemetry.h"
 
 namespace csi::infer {
-namespace {
-
-// Per-thread scratch: indices from the SIMD downlink scan, the
-// effective-payload column, the gathered timestamps.
-struct SplitterScratch {
-  std::vector<uint32_t> indices;
-  std::vector<int64_t> eff;
-  std::vector<TimeUs> downlink_times;
-};
-
-SplitterScratch& Scratch() {
-  static thread_local SplitterScratch scratch;
-  return scratch;
-}
-
-}  // namespace
 
 std::vector<TrafficGroup> SplitIntoGroups(const capture::FlowView& flow,
                                           const SplitterConfig& config) {
@@ -31,25 +14,15 @@ std::vector<TrafficGroup> SplitIntoGroups(const capture::FlowView& flow,
   const int64_t* ts = flow.timestamps();
   const int64_t* payload = flow.payloads();
   const uint8_t* dir = flow.from_client();
-  SplitterScratch& scratch = Scratch();
 
-  // Timestamps of downlink data packets (payload > header bytes, i.e.
-  // >= header + 1), for idle detection and the SP2 "no data in between"
-  // check, via the SIMD boundary scan.
-  scratch.indices.resize(n);
-  const size_t hits = simd::CollectIndices(
-      dir, 0, payload, net::kQuicHeaderBytes + 1, n, scratch.indices.data());
-  std::vector<TimeUs>& downlink_times = scratch.downlink_times;
-  downlink_times.resize(hits);
-  for (size_t h = 0; h < hits; ++h) {
-    downlink_times[h] = ts[scratch.indices[h]];
+  // Timestamps of downlink data packets (payload > header bytes), in time
+  // order, for idle detection and the SP2 "no data in between" check.
+  std::vector<TimeUs> downlink_times;
+  for (size_t i = 0; i < n; ++i) {
+    if (dir[i] == 0 && payload[i] > net::kQuicHeaderBytes) {
+      downlink_times.push_back(ts[i]);
+    }
   }
-
-  // Hoist the QUIC effective-payload column once; each group's byte total is
-  // then a single windowed SIMD sum.
-  scratch.eff.resize(n);
-  simd::MaskedQuicPayload(dir, payload, n, net::kQuicHeaderBytes,
-                          scratch.eff.data());
 
   std::vector<DetectedRequest> requests = DetectRequests(flow, /*quic=*/true);
   // The padded Initial (ClientHello) clears the request-size threshold but is
@@ -115,19 +88,22 @@ std::vector<TrafficGroup> SplitIntoGroups(const capture::FlowView& flow,
   CSI_COUNTER_ADD("csi_splitter_ambiguous_splits_total", ambiguous_splits);
   CSI_COUNTER_ADD("csi_splitter_groups_total", boundaries.size());
 
+  std::vector<TimeUs> starts;
+  starts.reserve(boundaries.size());
+  for (const size_t first : boundaries) {
+    starts.push_back(requests[first].time);
+  }
+  const std::vector<WindowEstimate> windows =
+      EstimateWindows(flow, /*quic=*/true, starts);
   for (size_t b = 0; b < boundaries.size(); ++b) {
     const size_t first = boundaries[b];
     const size_t next = b + 1 < boundaries.size() ? boundaries[b + 1] : requests.size();
     TrafficGroup group;
     group.requests.assign(requests.begin() + static_cast<long>(first),
                           requests.begin() + static_cast<long>(next));
-    group.start_time = requests[first].time;
-    group.end_time = next < requests.size() ? requests[next].time : -1;
-    group.estimated_total =
-        simd::SumInWindow(ts, scratch.eff.data(), n, group.start_time, group.end_time);
-    if (group.end_time < 0 && n > 0) {
-      group.end_time = ts[n - 1];
-    }
+    group.start_time = starts[b];
+    group.end_time = next < requests.size() ? requests[next].time : ts[n - 1];
+    group.estimated_total = windows[b].bytes;
     groups.push_back(std::move(group));
   }
   return groups;

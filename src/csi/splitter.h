@@ -42,8 +42,9 @@ struct TrafficGroup {
   int num_requests() const { return static_cast<int>(requests.size()); }
 };
 
-// Splits a QUIC flow into traffic groups. The downlink-data scan and the
-// per-group byte sums run through the SIMD column kernels.
+// Splits a QUIC flow into traffic groups. The group windows
+// (start, next start] are contiguous in the flow's time-ordered span, so
+// their byte totals come from one EstimateWindows walk.
 std::vector<TrafficGroup> SplitIntoGroups(const capture::FlowView& flow,
                                           const SplitterConfig& config = {});
 

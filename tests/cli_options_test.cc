@@ -359,5 +359,23 @@ TEST(StageBreakdownTest, ReportsDirectChildrenOfAnalyzeOnly) {
   EXPECT_EQ(FormatStageBreakdown(telemetry::MetricsSnapshot{}), "");
 }
 
+// With no session analyzed, stages outside analyze (the database build) still
+// have observations; they alone must not produce a timing line.
+TEST(StageBreakdownTest, EmptyWhenNothingWasAnalyzed) {
+  telemetry::MetricsSnapshot snapshot;
+  telemetry::HistogramSnapshot db_build;
+  db_build.name = "csi_stage_duration_seconds";
+  db_build.labels = {{"stage", "db_build"}};
+  db_build.count = 1;
+  db_build.sum = 0.25;
+  snapshot.histograms.push_back(db_build);
+  telemetry::HistogramSnapshot analyze = db_build;
+  analyze.labels = {{"stage", "analyze"}};
+  analyze.count = 0;
+  analyze.sum = 0.0;
+  snapshot.histograms.push_back(analyze);
+  EXPECT_EQ(FormatStageBreakdown(snapshot), "");
+}
+
 }  // namespace
 }  // namespace csi::tools

@@ -1,18 +1,19 @@
 // End-to-end differential harness for the per-packet front end.
 //
 // Production runs the per-packet stages (classify, request detection, size
-// estimation, traffic splitting) over PacketColumns with SIMD kernels. The
+// estimation, traffic splitting) as forward sweeps over PacketColumns. The
 // frozen array-of-structs oracle in tests/aos_oracle.h computes the same
 // analysis prefix the naive way. This suite locks the two together and the
 // end-to-end result to its golden digests:
 //
 //   1. Seeded sweep: testbed sessions across all four designs; the oracle's
-//      prefix equals ComputeAnalysisPrefix over the columns under forced
-//      scalar and under every supported vector backend, and Analyze returns
-//      the same result on every backend. CSI_TEST_SCHEDULES raises the sweep
-//      for the nightly deep-differential job.
+//      prefix equals ComputeAnalysisPrefix over the columns, and Analyze
+//      returns the same result on every backend of the database's SIMD
+//      size-window scan. CSI_TEST_SCHEDULES raises the sweep for the nightly
+//      deep-differential job.
 //   2. Golden digests: the fixed instrumentation-invariance batch must hash
-//      to the same per-design constants as always, under each forced backend.
+//      to the same per-design constants as always, under each forced backend
+//      of the size-window scan.
 //   3. Prefix-cache identity: a warm prefix-cache hit returns what a fresh
 //      computation returns.
 //   4. Batch identity: BatchAnalyzer::AnalyzeAll equals serial engine calls,
@@ -122,17 +123,20 @@ TEST(ColdPathDifferential, SeededSweepMatchesAosOracleOnEveryBackend) {
         oracle::ComputeAnalysisPrefix(trace, design, manifest.host, splitter);
     ASSERT_GT(want.media_flows, 0) << "schedule " << s;
 
+    {
+      SCOPED_TRACE("schedule " + std::to_string(s));
+      ExpectSamePrefix(want,
+                       ComputeAnalysisPrefix(columns, design, manifest.host, splitter));
+    }
+
     const InferenceEngine engine(
         DbSnapshot(std::make_shared<const ChunkDatabase>(&manifest)), EngineConfig(design));
     ASSERT_TRUE(simd::ForceBackend(simd::Backend::kScalar));
     const uint64_t want_result = DigestOne(engine.Analyze(columns));
     for (const simd::Backend backend : backends) {
       ASSERT_TRUE(simd::ForceBackend(backend));
-      SCOPED_TRACE("schedule " + std::to_string(s) + " backend " +
-                   simd::BackendName(backend));
-      ExpectSamePrefix(want,
-                       ComputeAnalysisPrefix(columns, design, manifest.host, splitter));
-      EXPECT_EQ(DigestOne(engine.Analyze(columns)), want_result);
+      EXPECT_EQ(DigestOne(engine.Analyze(columns)), want_result)
+          << "schedule " << s << " backend " << simd::BackendName(backend);
     }
   }
 }

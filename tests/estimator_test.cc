@@ -66,13 +66,17 @@ EstimateCheck CheckEstimates(DesignType design, double loss, uint64_t seed) {
   // QUIC: a lost request ACK can trigger a request retransmission whose new
   // packet splits an exchange in two (the inference handles it as a phantom).
   // Validate the estimation primitive on ground-truth request windows
-  // instead: downlink payload between consecutive true requests.
-  std::vector<std::pair<TimeUs, Bytes>> gt(gt_by_time.begin(), gt_by_time.end());
-  for (size_t i = 0; i < gt.size(); ++i) {
-    const TimeUs begin = gt[i].first;
-    const TimeUs end = i + 1 < gt.size() ? gt[i + 1].first : -1;
-    const Bytes estimate = EstimateDownlinkBytes(flow, /*quic=*/true, begin, end);
-    const double ratio = static_cast<double>(estimate) / static_cast<double>(gt[i].second);
+  // instead: downlink payload between consecutive true requests, from the
+  // same sweep EstimateExchanges runs over detected request times.
+  std::vector<TimeUs> starts;
+  for (const auto& [time, bytes] : gt_by_time) {
+    starts.push_back(time);
+  }
+  const std::vector<WindowEstimate> windows = EstimateWindows(flow, /*quic=*/true, starts);
+  size_t w = 0;
+  for (const auto& [time, bytes] : gt_by_time) {
+    const double ratio =
+        static_cast<double>(windows[w++].bytes) / static_cast<double>(bytes);
     check.max_ratio = std::max(check.max_ratio, ratio);
     check.min_ratio = std::min(check.min_ratio, ratio);
     ++check.checked;
@@ -173,27 +177,36 @@ TEST(FlowClassifier, FallsBackToServerIpWithoutSni) {
   EXPECT_EQ(ClassifyMediaFlowIds(columns, "cdn.example", {42u}).size(), 1u);
 }
 
-TEST(EstimateDownlinkBytes, WindowBoundariesAreHalfOpenRight) {
+TEST(EstimateExchanges, WindowBoundariesAreHalfOpenRight) {
   capture::CaptureTrace flow;
-  auto add = [&flow](TimeUs t, Bytes payload, uint64_t seq) {
+  auto add = [&flow](TimeUs t, bool from_client, Bytes payload, uint64_t seq) {
     capture::PacketRecord r;
     r.timestamp = t;
-    r.from_client = false;
+    r.from_client = from_client;
+    r.transport = net::Transport::kTcp;
     r.payload = payload;
     r.tcp_seq = seq;
     flow.push_back(r);
   };
-  add(100, 1000, 0);
-  add(200, 1000, 1000);
-  add(300, 1000, 2000);
+  add(100, true, 300, 1'000'000);  // request 1
+  add(100, false, 1000, 0);
+  add(200, false, 1000, 1000);
+  add(300, false, 1000, 2000);
+  add(300, true, 300, 2'000'000);  // request 2
+  add(400, false, 1000, 2000);     // duplicate sequence number: retransmission
+  add(500, false, 700, 3000);
+  const std::vector<EstimatedExchange> exchanges =
+      EstimateExchanges(capture::PacketColumns::Build(flow).flow(0), /*quic=*/false);
+  ASSERT_EQ(exchanges.size(), 2u);
   // Window (100, 300] excludes the packet at exactly t=100 (it belongs to the
   // completing previous download) and includes t=300.
-  EXPECT_EQ(EstimateDownlinkBytes(capture::PacketColumns::Build(flow).flow(0), false, 100, 300),
-            2000);
-  // Duplicate sequence number = retransmission, dropped.
-  add(400, 1000, 2000);
-  EXPECT_EQ(EstimateDownlinkBytes(capture::PacketColumns::Build(flow).flow(0), false, 100, 500),
-            2000);
+  EXPECT_EQ(exchanges[0].request_time, 100);
+  EXPECT_EQ(exchanges[0].estimated_size, 2000);
+  EXPECT_EQ(exchanges[0].last_data_time, 300);
+  // The retransmission at t=400 is dropped from window (300, end).
+  EXPECT_EQ(exchanges[1].request_time, 300);
+  EXPECT_EQ(exchanges[1].estimated_size, 700);
+  EXPECT_EQ(exchanges[1].last_data_time, 500);
 }
 
 }  // namespace

@@ -76,9 +76,9 @@ inline uint64_t DigestResults(const std::vector<infer::InferenceResult>& results
 }
 
 // Golden digests of the fixed batches below, one per design type. Must match
-// with a trace session active or not, in the -DCSI_SIMD=OFF build, and with
-// each cache tier on, off, or env-disabled — CI runs the invariance tests in
-// each configuration.
+// with a trace session active or not, on every backend of the database's
+// SIMD size-window scan, and with each cache tier on, off, or env-disabled —
+// CI runs the invariance tests in each configuration.
 inline constexpr uint64_t kChBatchDigest = 0xd4a3acc8aa2025b6ull;
 inline constexpr uint64_t kShBatchDigest = 0xb3d468293556d2b8ull;
 inline constexpr uint64_t kCqBatchDigest = 0x29a194610a7aadffull;

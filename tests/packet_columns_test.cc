@@ -1,4 +1,4 @@
-// Unit + property tests for the columnar capture layout and its SIMD kernels.
+// Unit + property tests for the columnar capture layout.
 //
 // Four layers are locked in here:
 //   1. Builder identity: PacketColumns::Build reproduces exactly the flow
@@ -9,20 +9,20 @@
 //   2. Fingerprint soundness: captures that differ only in how flows
 //      interleave build equal columns, fingerprint alike and analyze alike;
 //      changing which flow appears first changes the fingerprint.
-//   3. Kernel identity: every column kernel returns bit-identical results on
-//      every supported backend vs a plain scalar reference, over adversarial
-//      lengths (0..17 straddle every vector width) and INT64 extremes.
-//   4. Stage identity: DetectRequests / EstimateExchanges /
-//      EstimateDownlinkBytes / SplitIntoGroups over a FlowView match the
-//      oracle field-for-field, per backend, on random interleaved traces.
-//      (End-to-end prefix identity lives in cold_path_differential_test.)
+//   3. Time order: every flow span of Build is in non-decreasing timestamp
+//      order even when capture timestamps step backwards, and such a capture
+//      builds, splits, estimates and analyzes exactly like its per-flow
+//      stably time-sorted copy.
+//   4. Stage identity: DetectRequests / EstimateExchanges / EstimateWindows /
+//      SplitIntoGroups over a FlowView match the oracle field-for-field on
+//      random interleaved traces. (End-to-end prefix identity lives in
+//      cold_path_differential_test.)
 
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
-#include <limits>
+#include <map>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -31,7 +31,6 @@
 #include "src/capture/packet_columns.h"
 #include "src/common/build_info.h"
 #include "src/common/rng.h"
-#include "src/common/simd.h"
 #include "src/csi/flow_classifier.h"
 #include "src/csi/inference.h"
 #include "src/csi/prefix_cache.h"
@@ -42,31 +41,6 @@
 
 namespace csi::capture {
 namespace {
-
-constexpr int64_t kInt64Min = std::numeric_limits<int64_t>::min();
-constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
-
-// Restores the pre-test dispatch choice even when an assertion fails
-// mid-test; ForceBackend is process-wide state.
-class BackendGuard {
- public:
-  BackendGuard() : saved_(simd::ActiveBackend()) {}
-  ~BackendGuard() { simd::ForceBackend(saved_); }
-
- private:
-  simd::Backend saved_;
-};
-
-std::vector<simd::Backend> AllSupportedBackends() {
-  std::vector<simd::Backend> backends{simd::Backend::kScalar};
-  for (simd::Backend b :
-       {simd::Backend::kSse2, simd::Backend::kAvx2, simd::Backend::kNeon}) {
-    if (simd::BackendSupported(b)) {
-      backends.push_back(b);
-    }
-  }
-  return backends;
-}
 
 PacketRecord MakePacket(TimeUs ts, uint16_t client_port, bool from_client,
                         Bytes payload, net::Transport transport = net::Transport::kUdp,
@@ -354,134 +328,13 @@ TEST(PacketColumns, InterleavingKeepsAnalysisAndFlowOrderChangesFingerprint) {
   EXPECT_EQ(engine.Analyze(b), result);
 }
 
-// ---- Kernels ---------------------------------------------------------------
-
-// Scalar references written independently of src/common/simd.cc.
-int64_t RefSumInWindow(const std::vector<int64_t>& ts, const std::vector<int64_t>& v,
-                       int64_t begin, int64_t end) {
-  int64_t sum = 0;
-  for (size_t i = 0; i < ts.size(); ++i) {
-    if (ts[i] > begin && (end < 0 || ts[i] <= end)) {
-      sum += v[i];
-    }
-  }
-  return sum;
-}
-
-int64_t RefMaxTsInWindow(const std::vector<int64_t>& ts, const std::vector<uint8_t>& mask,
-                         int64_t begin, int64_t end) {
-  int64_t best = kInt64Min;
-  for (size_t i = 0; i < ts.size(); ++i) {
-    if (mask[i] != 0 && ts[i] > begin && (end < 0 || ts[i] <= end) && ts[i] > best) {
-      best = ts[i];
-    }
-  }
-  return best;
-}
-
-struct KernelInput {
-  std::vector<int64_t> ts;
-  std::vector<int64_t> payload;
-  std::vector<uint8_t> dir;
-  std::vector<uint32_t> ids;
-};
-
-KernelInput RandomKernelInput(Rng* rng, size_t n, bool extremes) {
-  KernelInput in;
-  for (size_t i = 0; i < n; ++i) {
-    if (extremes && rng->Chance(0.2)) {
-      in.ts.push_back(rng->Chance(0.5) ? kInt64Max : kInt64Min);
-      in.payload.push_back(rng->Chance(0.5) ? kInt64Max / 1024 : 0);
-    } else {
-      in.ts.push_back(rng->UniformInt(-1000, 100000));
-      in.payload.push_back(rng->UniformInt(0, 2000));
-    }
-    in.dir.push_back(rng->Chance(0.4) ? 1 : 0);
-    in.ids.push_back(static_cast<uint32_t>(rng->UniformInt(0, 4)));
-  }
-  return in;
-}
-
-TEST(SimdColumnKernels, AllBackendsMatchScalarReference) {
-  BackendGuard guard;
-  // 0..17 straddles every vector width (2/4-lane 64-bit) plus odd tails.
-  std::vector<size_t> sizes(18);
-  std::iota(sizes.begin(), sizes.end(), 0);
-  sizes.push_back(63);
-  sizes.push_back(64);
-  sizes.push_back(257);
-  for (const simd::Backend backend : AllSupportedBackends()) {
-    ASSERT_TRUE(simd::ForceBackend(backend));
-    SCOPED_TRACE(simd::BackendName(backend));
-    Rng rng(31 + static_cast<uint64_t>(backend));
-    for (const size_t n : sizes) {
-      for (const bool extremes : {false, true}) {
-        const KernelInput in = RandomKernelInput(&rng, n, extremes);
-        const int64_t begin = extremes ? kInt64Min : rng.UniformInt(-10, 50000);
-        const int64_t end =
-            rng.Chance(0.3) ? -1 : (extremes ? kInt64Max : rng.UniformInt(begin, 100000));
-
-        EXPECT_EQ(simd::SumInWindow(in.ts.data(), in.payload.data(), n, begin, end),
-                  RefSumInWindow(in.ts, in.payload, begin, end))
-            << "n=" << n;
-
-        std::vector<int64_t> eff(n, -1);
-        simd::MaskedQuicPayload(in.dir.data(), in.payload.data(), n, 13, eff.data());
-        for (size_t i = 0; i < n; ++i) {
-          const int64_t want =
-              in.dir[i] != 0 ? 0 : std::max<int64_t>(in.payload[i] - 13, 0);
-          ASSERT_EQ(eff[i], want) << "n=" << n << " i=" << i;
-        }
-
-        for (const uint8_t want : {uint8_t{0}, uint8_t{1}}) {
-          int64_t ref = 0;
-          for (size_t i = 0; i < n; ++i) {
-            if (in.dir[i] == want) {
-              ref += in.payload[i];
-            }
-          }
-          EXPECT_EQ(simd::DirectionMaskedSum(in.dir.data(), want, in.payload.data(), n),
-                    ref)
-              << "n=" << n;
-
-          const int64_t min_payload = extremes ? kInt64Max : 80;
-          std::vector<uint32_t> out(n + 1, 0xdeadbeef);
-          const size_t count = simd::CollectIndices(in.dir.data(), want,
-                                                    in.payload.data(), min_payload, n,
-                                                    out.data());
-          std::vector<uint32_t> ref_idx;
-          for (size_t i = 0; i < n; ++i) {
-            if (in.dir[i] == want && in.payload[i] >= min_payload) {
-              ref_idx.push_back(static_cast<uint32_t>(i));
-            }
-          }
-          ASSERT_EQ(count, ref_idx.size()) << "n=" << n;
-          for (size_t i = 0; i < count; ++i) {
-            ASSERT_EQ(out[i], ref_idx[i]) << "n=" << n << " i=" << i;
-          }
-        }
-
-        EXPECT_EQ(simd::MaxTsInWindow(in.ts.data(), in.dir.data(), n, begin, end),
-                  RefMaxTsInWindow(in.ts, in.dir, begin, end))
-            << "n=" << n;
-
-        size_t ref_runs = n > 0 ? 1 : 0;
-        for (size_t i = 1; i < n; ++i) {
-          if (in.ids[i] != in.ids[i - 1]) {
-            ++ref_runs;
-          }
-        }
-        EXPECT_EQ(simd::CountRuns(in.ids.data(), n), ref_runs) << "n=" << n;
-      }
-    }
-  }
-}
-
 // ---- Stage identity --------------------------------------------------------
 
-void ExpectStagesMatch(const CaptureTrace& trace) {
+// Production stages over Build(trace) against the oracle over `reference`
+// (the trace itself, or its per-flow time-sorted copy).
+void ExpectStagesMatch(const CaptureTrace& trace, const CaptureTrace& reference) {
   const PacketColumns columns = PacketColumns::Build(trace);
-  const std::vector<oracle::Flow> flows = oracle::SplitFlows(trace);
+  const std::vector<oracle::Flow> flows = oracle::SplitFlows(reference);
   ASSERT_EQ(columns.flow_count(), flows.size());
   for (size_t f = 0; f < flows.size(); ++f) {
     const FlowView view = columns.flow(static_cast<uint32_t>(f));
@@ -504,12 +357,16 @@ void ExpectStagesMatch(const CaptureTrace& trace) {
         EXPECT_EQ(aos_ex[i].carries_sni, soa_ex[i].carries_sni);
       }
 
-      for (const TimeUs begin : {TimeUs{-1}, TimeUs{0}, TimeUs{500 * kUsPerMs}}) {
-        for (const TimeUs end : {TimeUs{-1}, TimeUs{1 * kUsPerSec}}) {
-          EXPECT_EQ(oracle::EstimateDownlinkBytes(flows[f].packets, quic, begin, end),
-                    infer::EstimateDownlinkBytes(view, quic, begin, end))
-              << "flow " << f << " quic " << quic;
-        }
+      // Arbitrary window starts, including an empty (t, t] window.
+      const std::vector<TimeUs> starts{-1, 0, 500 * kUsPerMs, 500 * kUsPerMs,
+                                       1 * kUsPerSec};
+      const auto windows = infer::EstimateWindows(view, quic, starts);
+      ASSERT_EQ(windows.size(), starts.size());
+      for (size_t w = 0; w < starts.size(); ++w) {
+        const TimeUs end = w + 1 < starts.size() ? starts[w + 1] : -1;
+        EXPECT_EQ(windows[w].bytes,
+                  oracle::EstimateDownlinkBytes(flows[f].packets, quic, starts[w], end))
+            << "flow " << f << " quic " << quic << " window " << w;
       }
     }
 
@@ -530,16 +387,105 @@ void ExpectStagesMatch(const CaptureTrace& trace) {
   }
 }
 
-TEST(PacketColumns, StageOutputsMatchOracleOnEveryBackend) {
-  BackendGuard guard;
-  for (const simd::Backend backend : AllSupportedBackends()) {
-    ASSERT_TRUE(simd::ForceBackend(backend));
-    SCOPED_TRACE(simd::BackendName(backend));
-    for (uint64_t seed = 0; seed < 15; ++seed) {
-      Rng rng(4400 + seed);
-      SCOPED_TRACE("seed " + std::to_string(seed));
-      ExpectStagesMatch(RandomTrace(&rng, static_cast<int>(rng.UniformInt(0, 250))));
+TEST(PacketColumns, StageOutputsMatchOracle) {
+  for (uint64_t seed = 0; seed < 15; ++seed) {
+    Rng rng(4400 + seed);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const CaptureTrace trace = RandomTrace(&rng, static_cast<int>(rng.UniformInt(0, 250)));
+    ExpectStagesMatch(trace, trace);
+  }
+}
+
+// ---- Time order ------------------------------------------------------------
+
+// Moves `count` random packets up to 200 ms back in time (not below 0), so
+// they land before packets captured ahead of them.
+CaptureTrace StepBackwards(CaptureTrace trace, Rng* rng, int count) {
+  for (int k = 0; k < count && !trace.empty(); ++k) {
+    PacketRecord& p = trace[static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(trace.size()) - 1))];
+    p.timestamp = std::max<TimeUs>(0, p.timestamp - rng->UniformInt(1, 200 * kUsPerMs));
+  }
+  return trace;
+}
+
+// `trace` with each flow's packets stably sorted by timestamp inside the
+// capture slots that flow occupies, so flow first-appearance order is kept.
+CaptureTrace SortEachFlowByTime(const CaptureTrace& trace) {
+  std::map<FlowKey, std::vector<size_t>> slots;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    slots[FlowKeyOf(trace[i])].push_back(i);
+  }
+  CaptureTrace sorted = trace;
+  for (const auto& [key, where] : slots) {
+    std::vector<size_t> order = where;
+    std::stable_sort(order.begin(), order.end(), [&trace](size_t a, size_t b) {
+      return trace[a].timestamp < trace[b].timestamp;
+    });
+    for (size_t k = 0; k < where.size(); ++k) {
+      sorted[where[k]] = trace[order[k]];
     }
+  }
+  return sorted;
+}
+
+bool EveryFlowInTimeOrder(const CaptureTrace& trace) {
+  for (const oracle::Flow& flow : oracle::SplitFlows(trace)) {
+    if (!std::is_sorted(flow.packets.begin(), flow.packets.end(),
+                        [](const PacketRecord& a, const PacketRecord& b) {
+                          return a.timestamp < b.timestamp;
+                        })) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(PacketColumns, BackwardTimestampsBuildLikeThePerFlowSortedCapture) {
+  int stepped_back = 0;
+  for (uint64_t seed = 0; seed < 30; ++seed) {
+    Rng rng(8100 + seed);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const CaptureTrace trace =
+        StepBackwards(RandomTrace(&rng, static_cast<int>(rng.UniformInt(20, 250))), &rng, 6);
+    stepped_back += EveryFlowInTimeOrder(trace) ? 0 : 1;
+    const CaptureTrace sorted = SortEachFlowByTime(trace);
+    const PacketColumns columns = PacketColumns::Build(trace);
+    for (uint32_t f = 0; f < columns.flow_count(); ++f) {
+      EXPECT_TRUE(std::is_sorted(columns.timestamps() + columns.flow_begin(f),
+                                 columns.timestamps() + columns.flow_end(f)))
+          << "flow " << f;
+    }
+    ExpectSameColumns(columns, PacketColumns::Build(sorted));
+    ExpectStagesMatch(trace, sorted);
+  }
+  // The sweep must actually have seen out-of-order flows.
+  EXPECT_GT(stepped_back, 20);
+}
+
+TEST(PacketColumns, BackwardTimestampsAnalyzeLikeThePerFlowSortedCapture) {
+  const TimeUs duration = 40 * kUsPerSec;
+  for (const infer::DesignType design : {infer::DesignType::kCH, infer::DesignType::kSQ}) {
+    SCOPED_TRACE(infer::DesignTypeName(design));
+    const media::Manifest manifest = testbed::MakeAssetForDesign(design, 0, duration);
+    testbed::SessionConfig config;
+    config.design = design;
+    config.manifest = &manifest;
+    config.downlink = nettrace::StableTrace("s", 4 * kMbps);
+    config.duration = duration;
+    config.seed = 9;
+    Rng rng(77);
+    const CaptureTrace trace =
+        StepBackwards(testbed::RunStreamingSession(config).capture, &rng, 40);
+    ASSERT_FALSE(EveryFlowInTimeOrder(trace));
+    infer::InferenceConfig engine_config;
+    engine_config.design = design;
+    const infer::InferenceEngine engine(
+        infer::DbSnapshot(std::make_shared<const infer::ChunkDatabase>(&manifest)),
+        engine_config);
+    const infer::InferenceResult result = engine.Analyze(PacketColumns::Build(trace));
+    EXPECT_FALSE(result.sequences.empty());
+    EXPECT_EQ(engine.Analyze(PacketColumns::Build(SortEachFlowByTime(trace))), result);
   }
 }
 

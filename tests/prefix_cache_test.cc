@@ -107,14 +107,20 @@ TEST(FingerprintColumns, EveryObserverVisibleFieldPerturbsIt) {
   EXPECT_NE(mutated([](auto& p) { p.sni = "w.example.com"; }), ref);
   EXPECT_NE(mutated([](auto& p) { p.sni.clear(); }), ref);
 
-  // Packet count matters, and so does packet order within a flow.
+  // Packet count matters, and so does packet order within a flow among equal
+  // timestamps. Packets with distinct timestamps are time-ordered by Build,
+  // so their capture order does not.
   capture::CaptureTrace two{BasePacket(), BasePacket()};
   EXPECT_NE(Fingerprint(two), ref);
   capture::CaptureTrace empty;
   EXPECT_NE(Fingerprint(empty), ref);
-  two[1].timestamp += 5;
+  two[1].payload += 5;
   capture::CaptureTrace swapped{two[1], two[0]};
   EXPECT_NE(Fingerprint(swapped), Fingerprint(two));
+  capture::CaptureTrace later = two;
+  later[1].timestamp += 5;
+  capture::CaptureTrace stepped_back{later[1], later[0]};
+  EXPECT_EQ(Fingerprint(stepped_back), Fingerprint(later));
 
   // Which packet carries an SNI matters even when the flow's first SNI does
   // not change.

@@ -285,16 +285,16 @@ std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot) {
   double per_packet = 0.0;    // flow_classify + traffic_split + size_estimate
   double search = 0.0;        // group_search
   double cache_lookup = 0.0;  // result + prefix tiers
-  bool any = false;
+  int64_t analyses = 0;
   for (const telemetry::HistogramSnapshot& h : snapshot.histograms) {
     if (h.name != "csi_stage_duration_seconds" || h.labels.empty() ||
         h.labels[0].first != "stage") {
       continue;
     }
     const std::string& stage = h.labels[0].second;
-    any = true;
     if (stage == "analyze") {
       analyze += h.sum;
+      analyses += h.count;
     } else if (stage == "flow_classify" || stage == "traffic_split" ||
                stage == "size_estimate") {
       per_packet += h.sum;
@@ -304,7 +304,7 @@ std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot) {
       cache_lookup += h.sum;
     }
   }
-  if (!any) {
+  if (analyses == 0) {
     return std::string();
   }
   const double rest = analyze - per_packet - search - cache_lookup;

@@ -129,8 +129,8 @@ std::string FormatCacheSummaryBlock(const infer::ResultCache* result,
 // search (group_search), the result- and prefix-tier cache lookups, and the
 // rest of analyze, so the four parts sum to analyze and the prefix-cache win
 // is visible straight from the csi_batch summary. Every other stage is
-// ignored. Empty string when the snapshot carries no stage histograms. No
-// trailing newline.
+// ignored. Empty string when `analyze` has no observations (no session was
+// analyzed). No trailing newline.
 std::string FormatStageBreakdown(const telemetry::MetricsSnapshot& snapshot);
 
 // Writes audits[i] as a JSON line labeled labels[i] (falling back to the
